@@ -1,7 +1,9 @@
 // SHA-256 (FIPS 180-4).
 //
 // Used for HMAC-based policy-distribution authentication and VPG key
-// derivation. Streaming interface plus a one-shot helper.
+// derivation. Streaming interface plus a one-shot helper. Whole blocks go
+// to the compression function in one call per update(); see
+// crypto/detail/sha256_compress.h for how the kernel is chosen.
 #pragma once
 
 #include <array>
@@ -29,8 +31,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;

@@ -18,6 +18,8 @@
 //  * Verdicts of every action (allow, deny, vpg) are cached: the card's
 //    cost is classification, not the verdict's sign. VPG-encapsulated
 //    frames never enter the cache (their match is by id, already O(1)).
+//  * The slot array is allocated on the first insert, so a NIC whose
+//    backend never consults the cache holds no slots.
 //  * Invalidation is by generation: a policy push bumps the generation and
 //    every existing entry goes stale at once (checked lazily on lookup,
 //    reclaimed lazily on insert) — no O(capacity) flush on the push path.
@@ -69,6 +71,8 @@ class FlowCache {
   // entries are only discounted as they are found and reclaimed).
   std::size_t live_entries() const { return live_; }
   const FlowCacheStats& stats() const { return stats_; }
+  // Bytes held by the slot array: 0 until the first insert.
+  std::size_t memory_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
   struct Slot {

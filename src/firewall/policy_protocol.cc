@@ -42,7 +42,11 @@ std::optional<PolicyMessage> PolicyMessageReader::next(
     return std::nullopt;
   }
   const std::size_t total = kHeaderSize + len + kPolicyMacSize;
-  if (buffer_.size() < total) return std::nullopt;
+  if (buffer_.size() < total) {
+    // Grow once to the whole frame instead of doubling as bytes arrive.
+    buffer_.reserve(total);
+    return std::nullopt;
+  }
 
   const std::span<const std::uint8_t> authed(buffer_.data(), kHeaderSize + len);
   const std::span<const std::uint8_t> mac(buffer_.data() + kHeaderSize + len,

@@ -12,6 +12,10 @@ struct PolicyServer::Session {
   PolicyMessageReader reader;
   net::Ipv4Address agent;  // set after hello
   bool identified = false;
+  // Encoded messages the connection's send buffer has not taken yet, in
+  // order; bytes before outbound_head have been handed over already.
+  std::vector<std::uint8_t> outbound;
+  std::size_t outbound_head = 0;
 };
 
 PolicyServer::PolicyServer(stack::Host& host, std::span<const std::uint8_t> deployment_key,
@@ -37,6 +41,7 @@ void PolicyServer::start() {
         session->conn->abort();
       }
     };
+    conn->on_send_space = [session] { flush_outbound(*session); };
     conn->on_closed = [this, session] {
       if (session->identified) {
         agents_[session->agent].connected = false;
@@ -53,21 +58,27 @@ std::uint64_t PolicyServer::policy_version(net::Ipv4Address agent) const {
 }
 
 void PolicyServer::set_policy(net::Ipv4Address agent, std::string policy_text) {
-  auto& entry = policies_[agent];
-  entry.text = std::move(policy_text);
-  ++entry.version;
-  push_policy(agent);
+  set_shared_policy(agent, std::make_shared<const std::string>(std::move(policy_text)));
 }
 
 std::size_t PolicyServer::set_policy_all(std::span<const net::Ipv4Address> agents,
                                          const std::string& policy_text) {
+  const auto shared = std::make_shared<const std::string>(policy_text);
   std::size_t pushed = 0;
   for (const auto& agent : agents) {
     const bool live = sessions_.contains(agent);
-    set_policy(agent, policy_text);
+    set_shared_policy(agent, shared);
     if (live) ++pushed;
   }
   return pushed;
+}
+
+void PolicyServer::set_shared_policy(net::Ipv4Address agent,
+                                     std::shared_ptr<const std::string> policy_text) {
+  auto& entry = policies_[agent];
+  entry.text = std::move(policy_text);
+  ++entry.version;
+  push_policy(agent);
 }
 
 std::size_t PolicyServer::count_connected() const {
@@ -123,7 +134,7 @@ void PolicyServer::command_restart(net::Ipv4Address agent) {
 std::string PolicyServer::render_policy_body(net::Ipv4Address agent) {
   const auto& entry = policies_[agent];
   std::string body = "version " + std::to_string(entry.version) + "\n";
-  body += entry.text;
+  if (entry.text) body += *entry.text;
   if (!body.ends_with('\n')) body += "\n";
   for (const auto& k : entry.keys) {
     body += "vpgkey " + std::to_string(k.vpg_id) + " " + to_hex(k.master_key) + "\n";
@@ -146,9 +157,33 @@ void PolicyServer::push_policy(net::Ipv4Address agent) {
 void PolicyServer::send_to(net::Ipv4Address agent, const PolicyMessage& msg) {
   auto sit = sessions_.find(agent);
   if (sit == sessions_.end()) return;
-  const auto bytes = encode_policy_message(msg, key_);
+  auto bytes = encode_policy_message(msg, key_);
   stats_.push_bytes += msg.type == PolicyMsgType::kPolicyUpdate ? bytes.size() : 0;
-  sit->second->conn->send(bytes);
+  // TCP takes at most its free send-buffer space; whatever it refuses waits
+  // in the session's outbound queue, so a large policy or a message behind
+  // an undrained push reaches the agent whole.
+  Session& session = *sit->second;
+  if (session.outbound.empty()) {
+    session.outbound = std::move(bytes);
+  } else {
+    auto& out = session.outbound;
+    out.erase(out.begin(), out.begin() + static_cast<long>(session.outbound_head));
+    session.outbound_head = 0;
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  flush_outbound(session);
+}
+
+void PolicyServer::flush_outbound(Session& session) {
+  auto& out = session.outbound;
+  while (session.outbound_head < out.size()) {
+    const std::size_t taken =
+        session.conn->send(std::span(out).subspan(session.outbound_head));
+    if (taken == 0) return;
+    session.outbound_head += taken;
+  }
+  out = {};  // release the buffer: most of the time the queue is empty
+  session.outbound_head = 0;
 }
 
 void PolicyServer::handle_message(Session& session, const PolicyMessage& msg) {

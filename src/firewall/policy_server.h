@@ -61,8 +61,9 @@ class PolicyServer {
   void set_policy(net::Ipv4Address agent, std::string policy_text);
 
   // Fleet fan-out: sets the same policy text for every listed agent (each
-  // gets its own versioned entry and an immediate push when connected).
-  // Returns the number of pushes sent synchronously.
+  // gets its own versioned entry and an immediate push when connected; the
+  // entries share one copy of the text). Returns the number of pushes sent
+  // synchronously.
   std::size_t set_policy_all(std::span<const net::Ipv4Address> agents,
                              const std::string& policy_text);
 
@@ -98,13 +99,16 @@ class PolicyServer {
  private:
   struct Session;
 
+  void set_shared_policy(net::Ipv4Address agent,
+                         std::shared_ptr<const std::string> policy_text);
   std::string render_policy_body(net::Ipv4Address agent);
   void push_policy(net::Ipv4Address agent);
   void send_to(net::Ipv4Address agent, const PolicyMessage& msg);
+  static void flush_outbound(Session& session);
   void handle_message(Session& session, const PolicyMessage& msg);
 
   struct PolicyEntry {
-    std::string text;
+    std::shared_ptr<const std::string> text;  // null until a policy is set
     std::vector<VpgKeyEntry> keys;
     std::uint64_t version = 0;
   };

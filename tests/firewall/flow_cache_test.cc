@@ -96,6 +96,23 @@ TEST(FlowCache, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(cache.capacity(), 128u);
 }
 
+TEST(FlowCache, SlotsAllocatedOnFirstInsert) {
+  FlowCache cache(FlowCacheConfig{100, 8});
+  EXPECT_EQ(cache.memory_bytes(), 0u);
+  EXPECT_EQ(cache.capacity(), 128u);
+  MatchResult out;
+  EXPECT_FALSE(cache.lookup(tuple(1), &out));  // an empty table misses
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.memory_bytes(), 0u);  // lookups never allocate
+  cache.insert(tuple(1), verdict(RuleAction::kAllow, 0));
+  const std::size_t bytes = cache.memory_bytes();
+  EXPECT_GT(bytes, 0u);
+  EXPECT_EQ(bytes % cache.capacity(), 0u);
+  ASSERT_TRUE(cache.lookup(tuple(1), &out));
+  for (std::uint32_t i = 2; i < 1000; ++i) cache.insert(tuple(i), verdict(RuleAction::kDeny, 1));
+  EXPECT_EQ(cache.memory_bytes(), bytes);  // fixed capacity: never grows
+}
+
 TEST(FlowCache, ThrashEvictsButNeverGrows) {
   // A spoofed-source flood in miniature: far more unique tuples than slots.
   FlowCache cache(FlowCacheConfig{64, 8});

@@ -65,6 +65,23 @@ TEST(FirewallNic, UnconfiguredCardPassesTraffic) {
   EXPECT_EQ(h.nic.fw_stats().rx_allowed, 1u);
 }
 
+TEST(FirewallNic, FlowCacheSlotsOnlyForFlowCacheBackend) {
+  Harness linear;
+  linear.install("default allow\ndeny udp from any to any port 9\n");
+  linear.from_wire(udp_frame(1, 80));
+  linear.sim.run();
+  ASSERT_EQ(linear.host_side.frames.size(), 1u);
+  EXPECT_EQ(linear.nic.flow_cache().memory_bytes(), 0u);
+
+  Harness cached(with_backend(efw_profile(), MatchBackend::kCompiledFlowCache));
+  cached.install("default allow\ndeny udp from any to any port 9\n");
+  EXPECT_EQ(cached.nic.flow_cache().memory_bytes(), 0u);
+  cached.from_wire(udp_frame(1, 80));
+  cached.sim.run();
+  ASSERT_EQ(cached.host_side.frames.size(), 1u);
+  EXPECT_GT(cached.nic.flow_cache().memory_bytes(), 0u);
+}
+
 TEST(FirewallNic, DenyRuleDropsInbound) {
   Harness h;
   h.install("default deny\nallow udp from any to any port 80\n");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.h"
+#include "firewall/policy.h"
 #include "firewall/policy_agent.h"
 #include "firewall/policy_server.h"
 
@@ -193,6 +194,60 @@ TEST(PolicyDistribution, MalformedPolicyIsRejectedAndOldOneKept) {
                                  "default deny\nallow tcp from any to any\n");
   sim.run_for(sim::Duration::milliseconds(200));
   EXPECT_EQ(tb.policy_server()->agents().at(tb.addresses().target).acked_version, 3u);
+}
+
+// A policy of at least `min_bytes`: TCP management traffic allowed first,
+// then `tag`-numbered UDP denies for addresses nobody uses.
+std::string large_policy(std::size_t min_bytes, int tag) {
+  std::string text = "default deny\nallow tcp from any to any\n";
+  for (int i = 0; text.size() < min_bytes; ++i) {
+    text += "deny udp from 10." + std::to_string(100 + tag) + "." +
+            std::to_string(i / 250) + "." + std::to_string(1 + i % 250) +
+            " to any port " + std::to_string(1000 + i % 50000) + "\n";
+  }
+  return text;
+}
+
+// The rule-set an agent installs from `text`, in canonical form.
+std::string installed_form(const std::string& text) {
+  auto parsed = parse_policy(text);
+  return parsed.ok() ? parsed.rule_set->to_string() : "unparsable";
+}
+
+// Larger than the server connection's 256 KiB TCP send buffer: the part
+// TCP refuses at first must still follow, or the agent's MAC check fails.
+TEST(PolicyDistribution, PolicyLargerThanSendBufferArrivesWhole) {
+  sim::Simulation sim(1);
+  Testbed tb(sim, managed_config(FirewallKind::kEfw));
+  tb.settle();
+
+  const std::string text = large_policy(300 * 1024, 0);
+  tb.policy_server()->set_policy(tb.addresses().target, text);
+  sim.run_for(sim::Duration::seconds(2));
+
+  EXPECT_EQ(tb.target_agent()->stats().policy_errors, 0u);
+  EXPECT_EQ(tb.target_agent()->stats().last_version, 2u);
+  EXPECT_EQ(tb.policy_server()->agents().at(tb.addresses().target).acked_version, 2u);
+  EXPECT_EQ(tb.target_firewall()->rule_set().to_string(), installed_form(text));
+  EXPECT_EQ(tb.policy_server()->stats().corrupted_streams, 0u);
+}
+
+// A second push queued behind one TCP has not drained yet.
+TEST(PolicyDistribution, BackToBackPushesLeaveAgentOnSecondVersion) {
+  sim::Simulation sim(1);
+  Testbed tb(sim, managed_config(FirewallKind::kEfw));
+  tb.settle();
+
+  const std::string first = large_policy(200 * 1024, 1);
+  const std::string second = large_policy(180 * 1024, 2);
+  tb.policy_server()->set_policy(tb.addresses().target, first);
+  tb.policy_server()->set_policy(tb.addresses().target, second);
+  sim.run_for(sim::Duration::seconds(2));
+
+  EXPECT_EQ(tb.target_agent()->stats().policy_errors, 0u);
+  EXPECT_EQ(tb.target_agent()->stats().last_version, 3u);
+  EXPECT_EQ(tb.policy_server()->agents().at(tb.addresses().target).acked_version, 3u);
+  EXPECT_EQ(tb.target_firewall()->rule_set().to_string(), installed_form(second));
 }
 
 TEST(PolicyDistribution, ForgedPolicyMessageIsIgnored) {

@@ -66,6 +66,29 @@ TEST(PolicyProtocol, StreamReassemblyAcrossArbitrarySplits) {
   }
 }
 
+// A policy-sized body arriving one MSS at a time, as the agent reads it.
+TEST(PolicyProtocol, LargeBodyRoundTripInSegmentSizedChunks) {
+  sim::Random rng(11);
+  PolicyMessage msg;
+  msg.type = PolicyMsgType::kPolicyUpdate;
+  msg.seq = 9;
+  msg.body.resize(300 * 1024);
+  for (auto& c : msg.body) c = static_cast<char>('a' + rng.uniform(26));
+  const auto bytes = encode_policy_message(msg, key());
+
+  PolicyMessageReader reader;
+  std::vector<PolicyMessage> got;
+  for (std::size_t pos = 0; pos < bytes.size(); pos += 1460) {
+    reader.append(std::span(bytes).subspan(pos, std::min<std::size_t>(1460, bytes.size() - pos)));
+    while (auto m = reader.next(key())) got.push_back(std::move(*m));
+  }
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].type, PolicyMsgType::kPolicyUpdate);
+  EXPECT_EQ(got[0].seq, 9u);
+  EXPECT_EQ(got[0].body, msg.body);
+  EXPECT_FALSE(reader.corrupted());
+}
+
 TEST(PolicyProtocol, WrongKeyPoisonsStream) {
   PolicyMessage msg{PolicyMsgType::kHello, 1, "host 10.0.0.40"};
   const auto bytes = encode_policy_message(msg, key());

@@ -83,6 +83,20 @@ struct BadPolicyCase {
   int error_line;
 };
 
+// Prints the policy text rather than gtest's default byte dump, whose pointer
+// bytes change with every run under ASLR and so gave the CTest cases (named
+// after the parameter value) a different name on each build.
+void PrintTo(const BadPolicyCase& c, std::ostream* os) {
+  *os << "line " << c.error_line << ": ";
+  for (const char* p = c.text; *p != '\0'; ++p) {
+    if (*p == '\n') {
+      *os << "\\n";
+    } else {
+      *os << *p;
+    }
+  }
+}
+
 class PolicyParserErrors : public ::testing::TestWithParam<BadPolicyCase> {};
 
 TEST_P(PolicyParserErrors, RejectsWithLineNumber) {
