@@ -63,17 +63,13 @@ inline core::MinFloodSearchOptions bench_search_options() {
 }
 
 // Sweep runner honouring --jobs N / $BARB_JOBS (default 1 = exact serial
-// path), seeded from the measurement options' base seed. When the parallel
-// DES engine is on (BARB_DES_SHARDS > 1) each point runs K shard threads, so
-// the sweep pool shrinks to keep --jobs the total thread budget; artifacts
-// are byte-identical across every (jobs, shards) combination.
+// path), seeded from the measurement options' base seed; artifacts are
+// byte-identical at every job count.
 inline core::SweepRunner make_runner(int argc, char** argv,
                                      const core::MeasurementOptions& opt) {
   core::SweepRunner::Options ro;
   ro.jobs = core::jobs_from_cli(argc, argv);
   ro.base_seed = opt.seed;
-  const int shards = core::des_shards_from_env();
-  ro.threads_per_point = shards > 1 ? shards : 1;
   return core::SweepRunner(ro);
 }
 

@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "core/topology.h"
 #include "firewall/policy.h"
-#include "link/sharded_domain.h"
 #include "stack/arp_table.h"
 #include "util/assert.h"
 
@@ -86,19 +85,7 @@ FleetResult run_fleet(int hosts, std::uint64_t seed, bool batched,
                                   : core::FirewallKind::kAdf;
     return nic;
   };
-  // Parallel DES (opt-in via BARB_DES_SHARDS): hosts on the RNG home shard,
-  // switches spread over the rest. Simulated results are byte-identical to
-  // serial; only wall-clock and the stderr event-rate lines change. The
-  // domain is declared before the fabric so it outlives the links/timers
-  // holding EventHandles on its shard schedulers.
-  std::unique_ptr<link::ShardedLinkDomain> shard_domain;
   auto fabric = core::build_leaf_spine(sim, spec);
-  const int shards = core::des_shards_from_env();
-  if (shards > 1) {
-    shard_domain = core::make_sharded_domain(
-        *fabric, core::partition_fabric(*fabric, shards,
-                                        core::ShardPartition::kHostsHome));
-  }
 
   // Install the same deny-flood policy on every firewalled host.
   auto parsed = firewall::parse_policy(fleet_policy());
@@ -160,8 +147,6 @@ FleetResult run_fleet(int hosts, std::uint64_t seed, bool batched,
   FleetResult out;
   out.hosts = hosts;
   out.pairs = pairs;
-  // Control scheduler + every shard wheel: equals the serial count exactly
-  // (each cross-shard frame costs one delivery event either way).
   out.events_executed = sim.events_executed();
   out.wall_s = wall;
   double aggregate = 0.0, victim = 0.0, clean = 0.0;

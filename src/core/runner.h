@@ -62,18 +62,10 @@ class SweepRunner {
   struct Options {
     int jobs = 1;                 // resolved through resolve_jobs()
     std::uint64_t base_seed = 1;  // root of every point's derived seed
-    // Threads each point consumes beyond the sweep worker itself — e.g. the
-    // parallel DES engine's shard count. The worker pool shrinks to
-    // max(1, jobs / threads_per_point) so --jobs stays the total thread
-    // budget whether the parallelism lives across points or inside one.
-    // Results are unaffected (the determinism contract holds per point).
-    int threads_per_point = 1;
   };
 
   explicit SweepRunner(Options options)
-      : jobs_(std::max(1, resolve_jobs(options.jobs) /
-                              std::max(1, options.threads_per_point))),
-        base_seed_(options.base_seed) {}
+      : jobs_(resolve_jobs(options.jobs)), base_seed_(options.base_seed) {}
   SweepRunner() : SweepRunner(Options{}) {}
 
   int jobs() const { return jobs_; }

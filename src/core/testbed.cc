@@ -1,8 +1,9 @@
 #include "core/testbed.h"
 
+#include <stdexcept>
+
 #include "core/runner.h"
 #include "firewall/policy.h"
-#include "link/sharded_domain.h"
 #include "net/frame_buffer.h"
 #include "net/vpg_header.h"
 #include "util/assert.h"
@@ -75,6 +76,11 @@ std::string make_client_vpg_policy(const TestbedAddresses& addr) {
 
 Testbed::Testbed(sim::Simulation& sim, const TestbedConfig& config)
     : sim_(sim), config_(config) {
+  if (config_.des_shards > 1) {
+    throw std::invalid_argument(
+        "TestbedConfig::des_shards = " + std::to_string(config_.des_shards) +
+        ": only the serial event engine exists (use 0 or 1)");
+  }
   build_hosts();
   install_fault_injectors();
   install_policies();
@@ -149,12 +155,6 @@ void Testbed::build_hosts() {
   builder.add_host(target_spec, sw, link_cfg);
 
   fabric_ = builder.build();
-  const int shards =
-      config_.des_shards != 0 ? config_.des_shards : des_shards_from_env();
-  if (shards > 1) {
-    shard_domain_ = make_sharded_domain(
-        *fabric_, partition_fabric(*fabric_, shards, ShardPartition::kHostsHome));
-  }
   policy_host_ = &fabric_->host(0);
   attacker_ = &fabric_->host(1);
   client_ = &fabric_->host(2);
@@ -317,12 +317,6 @@ void Testbed::register_scheduler_metrics(telemetry::MetricRegistry& registry) {
   });
   registry.counter_fn("sched.events_executed", "", [&sched] {
     return static_cast<double>(sched.stats().events_executed);
-  });
-  registry.counter_fn("sched.cascades", "", [&sched] {
-    return static_cast<double>(sched.stats().cascades);
-  });
-  registry.counter_fn("sched.overflow_migrations", "", [&sched] {
-    return static_cast<double>(sched.stats().overflow_migrations);
   });
   registry.counter_fn("sched.compactions", "", [&sched] {
     return static_cast<double>(sched.stats().compactions);

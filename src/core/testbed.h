@@ -67,11 +67,10 @@ struct TestbedConfig {
   // engine is the calibrated original; the BARB_LINK_BATCH env var overrides
   // either way for the byte-identity gate.
   bool batched_links = false;
-  // Parallel discrete-event execution: shard count for the conservative
-  // engine (hosts on the RNG home shard, switches on the rest; see
-  // core/topology.h partition_fabric). 0 consults BARB_DES_SHARDS; 1 forces
-  // serial; > 1 attaches a ParallelEngine for the Testbed's lifetime. The
-  // timeline is byte-identical either way (gated on the paper figures).
+  // Event-engine shard count. Only serial execution exists: 0 and 1 both
+  // mean one scheduler, and the Testbed constructor throws
+  // std::invalid_argument for anything above 1. The field stays only until
+  // the repository benchmark (perfbench/) stops setting it.
   int des_shards = 0;
   std::uint64_t seed = 1;
 };
@@ -119,8 +118,6 @@ class Testbed {
   const std::vector<std::unique_ptr<link::FaultInjector>>& fault_injectors() const {
     return fault_injectors_;
   }
-  // Shard-attach layer when des_shards resolved to > 1; null in serial runs.
-  link::ShardedLinkDomain* shard_domain() { return shard_domain_.get(); }
 
   // Runs the simulation until policy is in place (policy-server mode) or
   // returns immediately (direct mode). Call once before measurements.
@@ -144,11 +141,9 @@ class Testbed {
   static void register_pool_metrics(telemetry::MetricRegistry& registry);
 
   // Registers the event engine's counters and gauges ("sched.*": live
-  // pending events, overflow tombstones, slab capacity, cascade/migration/
-  // compaction counts). Kept out of register_metrics() for the same reason
-  // as pool.*: engine-internal counters do not belong in figure timelines,
-  // and keeping them opt-in preserves byte-identical artifacts across
-  // scheduler backends (BARB_SCHED=heap vs the wheel).
+  // pending events, tombstones, slab capacity, events executed, compaction
+  // count). Kept out of register_metrics() for the same reason as pool.*:
+  // engine-internal counters do not belong in figure timelines.
   void register_scheduler_metrics(telemetry::MetricRegistry& registry);
 
   // The policy text installed on the target (for inspection/tests).
@@ -163,11 +158,6 @@ class Testbed {
   TestbedConfig config_;
   TestbedAddresses addr_;
 
-  // Declared before fabric_ so it is destroyed after it: links and TCP
-  // timers hold EventHandles on the domain's shard schedulers, and the
-  // fabric's destructors cancel through them — the schedulers (and the
-  // per-shard frame pools) must still be alive then.
-  std::unique_ptr<link::ShardedLinkDomain> shard_domain_;
   // The wired topology (switch, links, hosts); built by TopologyBuilder with
   // the legacy construction order, so artifacts match the hard-coded wiring
   // this preset replaced.

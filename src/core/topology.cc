@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <deque>
 #include <utility>
 
-#include "link/sharded_domain.h"
 #include "util/assert.h"
 
 namespace barb::core {
@@ -160,7 +158,6 @@ int TopologyBuilder::add_host(const HostSpec& spec, int switch_id,
   const int port = sw.attach(link.b());
   fabric_->port_peer_switch_[static_cast<std::size_t>(switch_id)].push_back(-1);
   fabric_->port_host_[static_cast<std::size_t>(switch_id)].push_back(index);
-  fabric_->link_ends_.push_back(Fabric::LinkEnds{index, -1, switch_id});
 
   fabric_->hosts_.push_back(std::move(host));
   fabric_->firewalls_.push_back(fw);
@@ -186,7 +183,6 @@ void TopologyBuilder::connect_switches(int a, int b,
   fabric_->port_host_[static_cast<std::size_t>(a)].push_back(-1);
   fabric_->port_peer_switch_[static_cast<std::size_t>(b)].push_back(a);
   fabric_->port_host_[static_cast<std::size_t>(b)].push_back(-1);
-  fabric_->link_ends_.push_back(Fabric::LinkEnds{-1, a, b});
   trunks_.push_back(Trunk{a, port_a, b, port_b});
 }
 
@@ -365,61 +361,6 @@ std::unique_ptr<Fabric> build_campus_tree(sim::Simulation& sim,
     }
   }
   return builder.build();
-}
-
-// --- shard partitioning ---------------------------------------------------
-
-ShardPlan partition_fabric(const Fabric& fabric, int shards,
-                           ShardPartition mode) {
-  BARB_ASSERT(shards >= 1);
-  ShardPlan plan;
-  plan.shards = shards;
-  plan.host_shard.assign(static_cast<std::size_t>(fabric.num_hosts()), 0);
-  plan.switch_shard.assign(static_cast<std::size_t>(fabric.num_switches()), 0);
-  if (shards == 1) return plan;
-  switch (mode) {
-    case ShardPartition::kHostsHome:
-      plan.rng_home = 0;
-      for (int s = 0; s < fabric.num_switches(); ++s) {
-        plan.switch_shard[static_cast<std::size_t>(s)] = 1 + s % (shards - 1);
-      }
-      break;
-    case ShardPartition::kSpread:
-      plan.rng_home = -1;
-      for (int s = 0; s < fabric.num_switches(); ++s) {
-        plan.switch_shard[static_cast<std::size_t>(s)] = s % shards;
-      }
-      for (int h = 0; h < fabric.num_hosts(); ++h) {
-        plan.host_shard[static_cast<std::size_t>(h)] =
-            plan.switch_shard[static_cast<std::size_t>(fabric.host_switch(h))];
-      }
-      break;
-  }
-  return plan;
-}
-
-std::unique_ptr<link::ShardedLinkDomain> make_sharded_domain(
-    Fabric& fabric, const ShardPlan& plan) {
-  auto domain = std::make_unique<link::ShardedLinkDomain>(
-      fabric.simulation(), plan.shards, plan.rng_home);
-  const auto& ends = fabric.link_ends();
-  BARB_ASSERT(ends.size() == fabric.links().size());
-  for (std::size_t i = 0; i < ends.size(); ++i) {
-    const Fabric::LinkEnds& e = ends[i];
-    const int shard_a =
-        e.host >= 0 ? plan.host_shard[static_cast<std::size_t>(e.host)]
-                    : plan.switch_shard[static_cast<std::size_t>(e.sw_a)];
-    const int shard_b = plan.switch_shard[static_cast<std::size_t>(e.sw_b)];
-    domain->attach(*fabric.links()[i], shard_a, shard_b);
-  }
-  return domain;
-}
-
-int des_shards_from_env() {
-  const char* env = std::getenv("BARB_DES_SHARDS");
-  if (env == nullptr || *env == '\0') return 0;
-  const int v = std::atoi(env);
-  return v > 1 ? v : 0;
 }
 
 }  // namespace barb::core

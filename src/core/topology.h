@@ -39,10 +39,6 @@
 #include "stack/host.h"
 #include "telemetry/registry.h"
 
-namespace barb::link {
-class ShardedLinkDomain;
-}  // namespace barb::link
-
 namespace barb::core {
 
 enum class FirewallKind {
@@ -121,18 +117,6 @@ class Fabric {
   link::Link& host_link(int i) { return *links_[static_cast<std::size_t>(i)]; }
   const std::vector<std::unique_ptr<link::Link>>& links() const { return links_; }
 
-  // Endpoints of links()[i], recorded as links are declared: access links
-  // have host >= 0 (the a() side) landing on switch sw_b; trunks have
-  // sw_a (a() side) and sw_b (b() side). The shard partitioner cuts along
-  // these instead of trusting index order (presets interleave trunks and
-  // access links).
-  struct LinkEnds {
-    int host = -1;
-    int sw_a = -1;
-    int sw_b = -1;
-  };
-  const std::vector<LinkEnds>& link_ends() const { return link_ends_; }
-
   const stack::AddressDirectory* directory() const { return directory_.get(); }
 
   // Walks the preloaded FIBs from every switch: true iff every switch can
@@ -159,7 +143,6 @@ class Fabric {
   std::vector<int> host_switch_;                   // per host: switch index
   std::vector<int> host_port_;                     // per host: port on switch
   std::shared_ptr<stack::AddressDirectory> directory_;
-  std::vector<LinkEnds> link_ends_;  // parallel to links_
   // Per switch: port index -> peer switch index (trunks) or -1; and port
   // index -> host index (access ports) or -1. Filled as links attach; used
   // for route computation and the reachability diagnostic.
@@ -256,42 +239,5 @@ std::unique_ptr<Fabric> build_campus_tree(sim::Simulation& sim,
 // IP/MAC assignment shared by the presets (host index -> 10.x.y.z / MAC).
 net::Ipv4Address fleet_ip(int host_index);
 net::MacAddress fleet_mac(int host_index);
-
-// --- shard partitioning (parallel discrete-event engine) ------------------
-
-enum class ShardPartition {
-  // All hosts on shard 0 (the RNG home — every RNG-drawing component is
-  // host-side), switches round-robin over shards 1..K-1. Cuts exactly the
-  // access links, whose propagation + min frame time gives the lookahead.
-  // This is the partition the testbed/bench wiring uses: it keeps the global
-  // RNG draw order identical to serial by construction.
-  kHostsHome,
-  // Switches round-robin over all K shards, each host co-located with its
-  // access switch. Maximum balance, but forbids shard-side draws from the
-  // simulation RNG entirely (rng_home = -1) — only for draw-free workloads
-  // that place their initial events explicitly (ParallelEngine::schedule_on).
-  kSpread,
-};
-
-// Shard assignment for every host and switch of a built fabric.
-struct ShardPlan {
-  int shards = 1;
-  int rng_home = 0;  // forwarded to Simulation::attach_engine
-  std::vector<int> host_shard;
-  std::vector<int> switch_shard;
-};
-
-ShardPlan partition_fabric(const Fabric& fabric, int shards,
-                           ShardPartition mode);
-
-// Builds the engine + per-shard pools for `plan` and wires every cut link.
-// The returned domain must outlive all runs; destroying it detaches the
-// engine (the simulation reverts to serial execution).
-std::unique_ptr<link::ShardedLinkDomain> make_sharded_domain(
-    Fabric& fabric, const ShardPlan& plan);
-
-// Shard count requested via BARB_DES_SHARDS (0 or 1, including unset or
-// unparsable: serial execution).
-int des_shards_from_env();
 
 }  // namespace barb::core

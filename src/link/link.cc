@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "link/fault_injector.h"
-#include "sim/parallel_engine.h"
 #include "util/assert.h"
 #include "util/logging.h"
 
@@ -30,20 +29,6 @@ void LinkPort::set_fault_injector(FaultInjector* injector) {
   // after batched traffic has queued frames would mix the two.
   BARB_ASSERT_MSG(pending_.empty(), "install fault injectors before traffic");
   fault_ = injector;
-}
-
-void LinkPort::set_cross_shard(sim::ParallelEngine* engine,
-                               std::int32_t endpoint) {
-  BARB_ASSERT_MSG(pending_.empty() && queue_.empty() && !transmitting_,
-                  "mark cross-shard ports before traffic");
-  cross_engine_ = engine;
-  cross_endpoint_ = endpoint;
-}
-
-void LinkPort::deliver_from_peer(net::Packet pkt) {
-  stats_.rx_frames++;
-  stats_.rx_bytes += pkt.size();
-  if (sink_ != nullptr) sink_->deliver(std::move(pkt));
 }
 
 bool LinkPort::use_batched() const {
@@ -78,26 +63,8 @@ void LinkPort::send(net::Packet pkt) {
     const sim::TimePoint deliver_at = ser_end + link_->config().propagation;
     tx_free_at_ = ser_end;
     const std::size_t bytes = pkt.size();
-    if (cross_engine_ != nullptr) {
-      // The delivery event lives on the peer's shard. Its schedule-origin
-      // replays the serial batch timer: armed at send time when the previous
-      // delivery has already happened, else re-armed at that delivery (each
-      // frame gets its own timer event — delivery times are strictly
-      // monotone per direction).
-      const sim::TimePoint origin =
-          last_deliver_at_ > now ? last_deliver_at_ : now;
-      last_deliver_at_ = deliver_at;
-      cross_engine_->send(sim::MailboxMessage{deliver_at, origin, pkt.created,
-                                              pkt.id, cross_endpoint_,
-                                              pkt.copy_bytes()});
-      // Keep a frame-less stub so lazy TX accounting (and the queue gauges)
-      // sees the identical schedule; applied stubs are dropped right away.
-      pending_.push_back(
-          PendingFrame{ser_start, deliver_at, tx_time, bytes, net::Packet{}});
-    } else {
-      pending_.push_back(PendingFrame{ser_start, deliver_at, tx_time, bytes,
-                                      std::move(pkt)});
-    }
+    pending_.push_back(
+        PendingFrame{ser_start, deliver_at, tx_time, bytes, std::move(pkt)});
     if (!busy) {
       // Serialization starts now: account it immediately, exactly where the
       // per-frame engine does.
@@ -105,13 +72,6 @@ void LinkPort::send(net::Packet pkt) {
       stats_.tx_bytes += bytes;
       stats_.busy_time += tx_time;
       ++acct_idx_;
-    }
-    if (cross_engine_ != nullptr) {
-      while (acct_idx_ > 0) {
-        pending_.pop_front();
-        --acct_idx_;
-      }
-      return;
     }
     if (!batch_timer_.pending()) arm_batch_timer(pending_.front().deliver_at);
     return;
@@ -204,15 +164,6 @@ void LinkPort::start_transmission(net::Packet pkt) {
 }
 
 void LinkPort::schedule_delivery(net::Packet pkt, sim::Duration delay) {
-  if (cross_engine_ != nullptr) {
-    // Per-frame (and fault-injected) cross-shard path: the serial engine
-    // would schedule the delivery here, so the message's origin is now.
-    const sim::TimePoint now = link_->sim_.now();
-    cross_engine_->send(sim::MailboxMessage{now + delay, now, pkt.created,
-                                            pkt.id, cross_endpoint_,
-                                            pkt.copy_bytes()});
-    return;
-  }
   link_->simulation().schedule(delay, [peer = peer_, p = std::move(pkt)]() mutable {
     peer->stats_.rx_frames++;
     peer->stats_.rx_bytes += p.size();

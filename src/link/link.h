@@ -32,10 +32,6 @@
 #include "sim/simulation.h"
 #include "telemetry/registry.h"
 
-namespace barb::sim {
-class ParallelEngine;
-}  // namespace barb::sim
-
 namespace barb::link {
 
 struct LinkConfig {
@@ -108,19 +104,6 @@ class LinkPort {
   // Wire occupancy time of a frame on this link.
   sim::Duration frame_time(std::size_t frame_bytes) const;
 
-  // Marks this port's TRANSMIT direction as crossing a shard boundary:
-  // deliveries to the peer travel through the parallel engine's mailboxes
-  // (endpoint `endpoint`, which lives on the peer's shard) instead of the
-  // local scheduler. Install before any traffic (ShardedLinkDomain::attach
-  // does the wiring). All local state — TX queueing, accounting, drops,
-  // the per-frame transmitter-free event — stays on this port's shard.
-  void set_cross_shard(sim::ParallelEngine* engine, std::int32_t endpoint);
-
-  // Receiver-side entry for cross-shard frames: applies RX accounting and
-  // hands the frame to the sink. Runs on this port's shard thread at the
-  // mailbox message's delivery time.
-  void deliver_from_peer(net::Packet pkt);
-
  private:
   friend class Link;
   friend class FaultInjector;
@@ -155,15 +138,6 @@ class LinkPort {
   LinkPort* peer_ = nullptr;
   FrameSink* sink_ = nullptr;
   FaultInjector* fault_ = nullptr;
-
-  // Cross-shard TX state (null/unused for same-shard links).
-  sim::ParallelEngine* cross_engine_ = nullptr;
-  std::int32_t cross_endpoint_ = -1;
-  // Batched cross path: previous frame's delivery time, which is when the
-  // serial engine's batch timer would have been re-armed — it becomes the
-  // next delivery event's schedule-origin so the merged dispatch order
-  // matches the serial timeline exactly.
-  sim::TimePoint last_deliver_at_;
 
   // Per-frame engine state.
   std::deque<net::Packet> queue_;

@@ -154,13 +154,6 @@ class BufferPool {
   // constructed without an explicit pool draw from here.
   static BufferPool& instance();
 
-  // Overrides this thread's default pool (nullptr restores the built-in
-  // thread-local one). The parallel engine points each shard worker thread
-  // at a persistent per-shard pool owned by the attach layer: shard threads
-  // are spawned and joined per run segment, and buffers they allocate
-  // (frames queued in links/switches) must outlive any individual thread.
-  static void set_thread_pool_override(BufferPool* pool);
-
   // Acquires a buffer holding a copy of `bytes`.
   FrameBufferRef create(std::span<const std::uint8_t> bytes);
 

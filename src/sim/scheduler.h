@@ -1,4 +1,4 @@
-// Event engine: a hierarchical timing wheel over slab-pooled event records.
+// Event engine: a binary min-heap over slab-pooled event records.
 //
 // The simulator executes 4-6 scheduled events per simulated frame, and a
 // fig3b sweep pushes tens of millions of frames — so the scheduler's fixed
@@ -12,37 +12,24 @@
 //      recycle through a free list — steady-state scheduling performs zero
 //      heap allocations (gated by the microbench_scheduler ctest).
 //
-//   2. A hierarchical timing wheel. Four levels of 64 slots each bucket the
-//      next 2^24 ns (~16.8 ms) of simulated future; events beyond that wait
-//      in an overflow binary heap and migrate into the wheel when the clock
-//      enters their epoch. Insert and cancel are O(1); dispatch touches at
-//      most kLevels occupancy bitmaps plus a bounded number of cascades.
+//   2. A compact binary heap. The heap holds 24-byte (time, seq, record)
+//      entries, so sift-up/sift-down compare keys without touching the
+//      records themselves.
 //
 //   3. Allocation-free callbacks. Callbacks are InlineCallback values whose
 //      56-byte small-buffer fits every capture the simulator schedules.
 //
-// Determinism contract (asserted by the randomized differential test in
-// tests/sim/scheduler_wheel_test.cc): events are dispatched in strict
-// (time, schedule-origin, scheduling-sequence) order — across wheel
-// cascades, epoch migrations, and the overflow boundary. `schedule-origin`
-// (EventRecord::sched_at) is the clock value at the instant the event was
-// scheduled. In serial execution origins are monotone in sequence number,
-// so this order is exactly the classic (time, sequence) order and
-// same-instant events fire in the order they were scheduled. The extra key
-// exists for the sharded parallel engine (sim/parallel_engine.h): a
-// cross-shard delivery inserted via schedule_at_origin() carries its
-// sender-side origin, which slots it among local same-instant events at the
-// position the serial engine would have given it — that is what makes the
-// parallel timeline byte-identical to the serial one. The binary-heap
-// engine remains available behind BARB_SCHED=heap (or Backend::kHeap) so CI
-// can assert that all paper artifacts are byte-identical under both.
+// Determinism contract: events are dispatched in strict (time, seq) order,
+// where seq is a per-scheduler counter drawn when the event is scheduled (or
+// re-armed), so same-instant events fire in the order they were scheduled.
+// tests/sim/scheduler_test.cc checks this against a brute-force reference
+// ordering over randomized schedule/cancel/periodic traces.
 //
-// Cancellation: wheel-resident records unlink in O(1) and recycle
-// immediately; overflow-resident records become tombstones that are purged
-// at the heap top and compacted wholesale once they outnumber live entries
-// (so a flood's worth of cancelled TCP retransmit timers cannot bloat the
-// structure). pending_count() counts live events only; tombstone_count()
-// reports lingering cancelled overflow entries.
+// Cancellation: a cancelled record stays in the heap as a tombstone until it
+// reaches the top (where it is reaped) or until tombstones outnumber live
+// entries, at which point the heap is compacted wholesale (so a flood's worth
+// of cancelled TCP retransmit timers cannot bloat it). pending_count() counts
+// live events only; tombstone_count() reports lingering cancelled entries.
 //
 // Threading: a Scheduler is single-threaded by construction, one per
 // Simulation. Parallel sweeps give each worker its own Simulation, so slabs
@@ -52,10 +39,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -70,26 +54,20 @@ class Scheduler;
 
 namespace detail {
 
-enum class EventState : std::uint8_t { kFree, kInWheel, kInOverflow, kRunning };
+enum class EventState : std::uint8_t { kFree, kQueued, kRunning };
 
-// One slab cell: 64 bytes of bookkeeping + a 64-byte InlineCallback.
+// One slab cell: bookkeeping + a 64-byte InlineCallback.
 struct EventRecord {
   TimePoint at;
   std::uint64_t seq = 0;
-  TimePoint sched_at;         // clock at schedule time (dispatch tie-break)
-  Duration period;            // zero => one-shot
-  EventRecord* prev = nullptr;
-  EventRecord* next = nullptr;  // doubles as the free-list link
+  Duration period;              // zero => one-shot
+  EventRecord* next = nullptr;  // free-list link
   Scheduler* owner = nullptr;
   std::uint32_t gen = 0;        // bumped on recycle; stale handles go inert
   EventState state = EventState::kFree;
-  std::uint8_t level = 0;
-  std::uint8_t slot = 0;
   bool cancelled = false;
   InlineCallback fn;
 };
-
-static_assert(sizeof(EventRecord) == 128, "one record = two cache lines");
 
 }  // namespace detail
 
@@ -123,43 +101,21 @@ class EventHandle {
 // Live counters for the sched.* telemetry bridge (Testbed keeps these out of
 // figure timelines, like pool.*, to preserve byte-identical artifacts).
 struct SchedulerStats {
-  std::size_t pending = 0;             // live scheduled events
-  std::size_t tombstones = 0;          // cancelled overflow entries not yet reaped
-  std::size_t slab_records = 0;        // slab capacity (live + free records)
+  std::size_t pending = 0;       // live scheduled events
+  std::size_t tombstones = 0;    // cancelled heap entries not yet reaped
+  std::size_t slab_records = 0;  // slab capacity (live + free records)
   std::uint64_t events_executed = 0;
-  std::uint64_t cascades = 0;          // wheel slot redistributions
-  std::uint64_t overflow_migrations = 0;  // epoch moves overflow -> wheel
-  std::uint64_t compactions = 0;       // overflow tombstone sweeps
+  std::uint64_t compactions = 0;  // tombstone sweeps
 };
 
 class Scheduler {
  public:
   using Callback = InlineCallback;
 
-  enum class Backend {
-    kWheel,  // hierarchical timing wheel + overflow heap (default)
-    kHeap,   // pure binary heap, the legacy engine (BARB_SCHED=heap)
-  };
-
-  // Wheel geometry: kLevels levels of 64 slots; level k buckets 2^(6k) ns.
-  static constexpr int kSlotBits = 6;
-  static constexpr unsigned kSlots = 1u << kSlotBits;
-  static constexpr int kLevels = 4;
-  static constexpr int kSpanBits = kSlotBits * kLevels;  // 2^24 ns horizon
-
-  static Backend backend_from_env() {
-    const char* e = std::getenv("BARB_SCHED");
-    if (e != nullptr && std::strcmp(e, "heap") == 0) return Backend::kHeap;
-    return Backend::kWheel;
-  }
-
-  explicit Scheduler(Backend backend = backend_from_env())
-      : backend_(backend), levels_(backend == Backend::kWheel ? kLevels : 0) {}
+  Scheduler() = default;
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  Backend backend() const { return backend_; }
 
   // Schedules `fn` once at absolute time `at` (must not be in the past).
   EventHandle schedule_at(TimePoint at, Callback fn) {
@@ -175,99 +131,42 @@ class Scheduler {
     return schedule_impl(first, period, std::move(fn));
   }
 
-  // Schedules `fn` at `at` carrying an explicit schedule-origin instead of
-  // the local clock. The parallel engine uses this for cross-shard
-  // deliveries: `origin` is the sender-side clock value at the send, which
-  // may be earlier than this scheduler's now(). Dispatch order among
-  // same-instant events follows (origin, seq), reproducing the position the
-  // serial engine would have assigned.
-  EventHandle schedule_at_origin(TimePoint at, TimePoint origin, Callback fn) {
-    BARB_ASSERT_MSG(at >= now_, "cannot schedule into the past");
-    detail::EventRecord* r = alloc_record();
-    r->at = at;
-    r->seq = next_seq_++;
-    r->sched_at = origin;
-    r->period = Duration::zero();
-    r->cancelled = false;
-    r->fn = std::move(fn);
-    insert(r);
-    ++pending_;
-    return EventHandle{r, r->gen};
-  }
-
   TimePoint now() const { return now_; }
   bool empty() const { return pending_ == 0; }
   // Live scheduled events (cancelled entries awaiting reap are excluded; see
-  // tombstone_count()). size() is a legacy alias for pending_count().
-  std::size_t size() const { return pending_; }
+  // tombstone_count()).
   std::size_t pending_count() const { return pending_; }
-  std::size_t tombstone_count() const { return overflow_tombstones_; }
+  std::size_t tombstone_count() const { return tombstones_; }
   std::uint64_t events_executed() const { return events_executed_; }
 
   SchedulerStats stats() const {
     SchedulerStats s;
     s.pending = pending_;
-    s.tombstones = overflow_tombstones_;
+    s.tombstones = tombstones_;
     s.slab_records = chunks_.size() * kChunkRecords;
     s.events_executed = events_executed_;
-    s.cascades = cascades_;
-    s.overflow_migrations = overflow_migrations_;
     s.compactions = compactions_;
     return s;
   }
 
   // Time of the earliest live pending event. Reaps cancelled entries off the
-  // overflow top as a side effect (which is why it is not const); the result
+  // heap top as a side effect (which is why it is not const); the result
   // never includes tombstones, so run_until() cannot overshoot its boundary
   // chasing a cancelled placeholder.
   TimePoint next_event_time() {
     BARB_ASSERT(!empty());
-    if (wheel_count_ > 0) {
-      drain_cursor_slots();
-      return wheel_peek_time();
-    }
-    purge_overflow_top();
-    BARB_ASSERT(!overflow_.empty());
-    return overflow_.front().at;
-  }
-
-  // Full dispatch key (time, schedule-origin) of the earliest live pending
-  // event — what run_one() will pop next. Unlike pop-and-reinsert peeking
-  // this never moves the clock, which the parallel engine relies on when a
-  // shard is blocked on its horizon: a cross-shard delivery may still arrive
-  // below the locally pending event's time.
-  std::pair<TimePoint, TimePoint> next_event_key() {
-    BARB_ASSERT(!empty());
-    if (wheel_count_ > 0) {
-      drain_cursor_slots();
-      const detail::EventRecord* r = wheel_peek_record();
-      return {r->at, r->sched_at};
-    }
-    purge_overflow_top();
-    BARB_ASSERT(!overflow_.empty());
-    return {overflow_.front().at, overflow_.front().rec->sched_at};
-  }
-
-  // Per-slot record counts of one wheel level (empty for the heap backend).
-  // Diagnostic only: microbench_scheduler reports the distribution so shard
-  // load-imbalance investigations have a serial baseline.
-  std::array<std::size_t, kSlots> slot_histogram(int level) const {
-    std::array<std::size_t, kSlots> h{};
-    if (level < 0 || level >= levels_) return h;
-    for (unsigned s = 0; s < kSlots; ++s) {
-      for (const detail::EventRecord* r =
-               wheel_[static_cast<std::size_t>(level)][s].head;
-           r != nullptr; r = r->next) {
-        ++h[s];
-      }
-    }
-    return h;
+    purge_top();
+    return heap_.front().at;
   }
 
   // Pops and runs the earliest live event; returns false if none remain.
   bool run_one() {
-    detail::EventRecord* r = pop_earliest();
-    if (r == nullptr) return false;
+    purge_top();
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    detail::EventRecord* r = heap_.back().rec;
+    heap_.pop_back();
+    --pending_;
     BARB_ASSERT(r->at >= now_);
     now_ = r->at;
     r->state = detail::EventState::kRunning;
@@ -279,9 +178,7 @@ class Scheduler {
       // among same-instant peers — exactly like a self-rescheduling loop).
       r->at = r->at + r->period;
       r->seq = next_seq_++;
-      r->sched_at = now_;
-      insert(r);
-      ++pending_;
+      push(r);
     } else {
       free_record(r);
     }
@@ -293,321 +190,70 @@ class Scheduler {
   // than `t`.
   void advance_to(TimePoint t) {
     BARB_ASSERT(t >= now_);
-    const bool crossed_epoch = levels_ > 0 && !in_current_epoch(t);
     now_ = t;
-    if (crossed_epoch) {
-      BARB_ASSERT_MSG(wheel_count_ == 0, "advance_to skipped pending events");
-      migrate_epoch(epoch_of(t));
-    }
   }
 
  private:
   friend class EventHandle;
 
-  static constexpr std::size_t kChunkRecords = 128;  // 16 KiB per chunk
+  static constexpr std::size_t kChunkRecords = 128;
   struct Chunk {
     std::array<detail::EventRecord, kChunkRecords> recs;
   };
 
-  struct Slot {
-    detail::EventRecord* head = nullptr;
-    detail::EventRecord* tail = nullptr;
-  };
-
-  struct OverflowEntry {
+  struct Entry {
     TimePoint at;
-    TimePoint sched_at;
     std::uint64_t seq;
     detail::EventRecord* rec;
   };
-  // Strict total order over (at, sched_at, seq): seq ties can't happen, so
-  // the heap's pop sequence is fully determined; schedule origin then
-  // scheduling order break time ties (the engine-wide dispatch key).
-  struct OverflowLater {
-    bool operator()(const OverflowEntry& a, const OverflowEntry& b) const {
+  // Strict total order over (at, seq): seq ties can't happen, so the heap's
+  // pop sequence is fully determined and same-instant events keep their
+  // scheduling order.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      if (a.sched_at != b.sched_at) return a.sched_at > b.sched_at;
       return a.seq > b.seq;
     }
   };
-
-  std::uint64_t epoch_of(TimePoint t) const {
-    return static_cast<std::uint64_t>(t.ns()) >> kSpanBits;
-  }
-  bool in_current_epoch(TimePoint t) const {
-    return epoch_of(t) == epoch_of(now_);
-  }
 
   EventHandle schedule_impl(TimePoint at, Duration period, Callback fn) {
     BARB_ASSERT_MSG(at >= now_, "cannot schedule into the past");
     detail::EventRecord* r = alloc_record();
     r->at = at;
     r->seq = next_seq_++;
-    r->sched_at = now_;
     r->period = period;
     r->cancelled = false;
     r->fn = std::move(fn);
-    insert(r);
-    ++pending_;
+    push(r);
     return EventHandle{r, r->gen};
   }
 
-  void insert(detail::EventRecord* r) {
-    if (levels_ > 0 && in_current_epoch(r->at)) {
-      wheel_link(r);
-      ++wheel_count_;
-    } else {
-      r->state = detail::EventState::kInOverflow;
-      overflow_.push_back(OverflowEntry{r->at, r->sched_at, r->seq, r});
-      std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    }
+  void push(detail::EventRecord* r) {
+    r->state = detail::EventState::kQueued;
+    heap_.push_back(Entry{r->at, r->seq, r});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    ++pending_;
   }
 
-  // Places `r` in the wheel slot derived from the highest bit where its time
-  // differs from now (same epoch required). Higher-level slots append at the
-  // tail; a level-0 slot holds a single instant and is kept in ascending
-  // (sched_at, seq) order, so dispatch order is strict
-  // (time, schedule-origin, seq) even when a cascade drops an
-  // early-scheduled record into an instant that later schedules joined
-  // directly, or a cross-shard delivery carries an origin earlier than
-  // locally queued peers.
-  void wheel_link(detail::EventRecord* r) {
-    const auto t = static_cast<std::uint64_t>(r->at.ns());
-    const auto n = static_cast<std::uint64_t>(now_.ns());
-    const std::uint64_t diff = t ^ n;
-    const int level =
-        diff == 0 ? 0 : (63 - std::countl_zero(diff)) / kSlotBits;
-    BARB_ASSERT(level < levels_);
-    const unsigned slot =
-        static_cast<unsigned>(t >> (level * kSlotBits)) & (kSlots - 1);
-    r->state = detail::EventState::kInWheel;
-    r->level = static_cast<std::uint8_t>(level);
-    r->slot = static_cast<std::uint8_t>(slot);
-    Slot& s = wheel_[static_cast<std::size_t>(level)][slot];
-    detail::EventRecord* after = s.tail;  // insert after this node
-    if (level == 0) {
-      while (after != nullptr &&
-             (after->sched_at > r->sched_at ||
-              (after->sched_at == r->sched_at && after->seq > r->seq))) {
-        after = after->prev;
-      }
-    }
-    r->prev = after;
-    if (after != nullptr) {
-      r->next = after->next;
-      after->next = r;
-    } else {
-      r->next = s.head;
-      s.head = r;
-    }
-    (r->next != nullptr ? r->next->prev : s.tail) = r;
-    occupied_[static_cast<std::size_t>(level)] |= 1ull << slot;
-  }
-
-  void wheel_unlink(detail::EventRecord* r) {
-    Slot& s = wheel_[r->level][r->slot];
-    (r->prev != nullptr ? r->prev->next : s.head) = r->next;
-    (r->next != nullptr ? r->next->prev : s.tail) = r->prev;
-    if (s.head == nullptr) occupied_[r->level] &= ~(1ull << r->slot);
-  }
-
-  // Empties one slot and re-places each record relative to the current
-  // cursor; every record lands at a strictly lower level. List order is
-  // preserved, which keeps same-instant events in seq order.
-  void cascade(int level, unsigned slot) {
-    Slot& s = wheel_[static_cast<std::size_t>(level)][slot];
-    detail::EventRecord* r = s.head;
-    s.head = s.tail = nullptr;
-    occupied_[static_cast<std::size_t>(level)] &= ~(1ull << slot);
-    while (r != nullptr) {
-      detail::EventRecord* next = r->next;
-      wheel_link(r);
-      r = next;
-    }
-    ++cascades_;
-  }
-
-  // Re-establishes the scan invariant after the clock moves: a level-k slot
-  // (k >= 1) that the cursor has caught up to holds records belonging to the
-  // *current* k-block, which can be earlier than records at lower levels —
-  // so the lowest-level-first scan would dispatch around them and leave them
-  // stranded behind the cursor. Cascading such slots pushes their records to
-  // strictly lower levels (every record here satisfies at >= now_, because
-  // dispatch always pops the global minimum), after which level order again
-  // implies time order. Relinked records never land on a cursor slot (the
-  // link rule picks the highest *differing* digit), so one pass suffices.
-  void drain_cursor_slots() {
-    const auto n = static_cast<std::uint64_t>(now_.ns());
-    for (int level = levels_ - 1; level >= 1; --level) {
-      const unsigned cursor =
-          static_cast<unsigned>(n >> (level * kSlotBits)) & (kSlots - 1);
-      if ((occupied_[static_cast<std::size_t>(level)] >> cursor) & 1u) {
-        cascade(level, cursor);
-      }
-    }
-  }
-
-  // Extracts the earliest wheel record, advancing the cursor across slot
-  // boundaries and cascading higher-level slots as it goes. Precondition:
-  // wheel_count_ > 0.
-  detail::EventRecord* wheel_pop_front() {
-    for (;;) {
-      drain_cursor_slots();
-      const auto n = static_cast<std::uint64_t>(now_.ns());
-      int level = 0;
-      std::uint64_t mask = 0;
-      for (; level < levels_; ++level) {
-        const unsigned cursor =
-            static_cast<unsigned>(n >> (level * kSlotBits)) & (kSlots - 1);
-        mask = occupied_[static_cast<std::size_t>(level)] & (~0ull << cursor);
-        if (mask != 0) break;
-      }
-      BARB_ASSERT_MSG(level < levels_, "wheel occupancy out of sync");
-      const auto slot = static_cast<unsigned>(std::countr_zero(mask));
-      if (level == 0) {
-        detail::EventRecord* r = wheel_[0][slot].head;
-        wheel_unlink(r);
-        --wheel_count_;
-        --pending_;
-        return r;
-      }
-      const unsigned cursor =
-          static_cast<unsigned>(n >> (level * kSlotBits)) & (kSlots - 1);
-      if (slot != cursor) {
-        // Tick the cursor to the slot's range start (all pending events are
-        // at or beyond it) so the cascade lands at lower levels.
-        const std::uint64_t prefix = n >> ((level + 1) * kSlotBits);
-        now_ = TimePoint::from_ns(static_cast<std::int64_t>(
-            ((prefix << kSlotBits) | slot) << (level * kSlotBits)));
-      }
-      cascade(level, slot);
-    }
-  }
-
-  // Exact time of the earliest wheel record. Level-0 slots hold a single
-  // instant, so the common case is O(kLevels) bitmap scans; a higher-level
-  // hit walks one slot's list.
-  TimePoint wheel_peek_time() const {
-    const auto n = static_cast<std::uint64_t>(now_.ns());
-    for (int level = 0; level < levels_; ++level) {
-      const unsigned cursor =
-          static_cast<unsigned>(n >> (level * kSlotBits)) & (kSlots - 1);
-      const std::uint64_t mask =
-          occupied_[static_cast<std::size_t>(level)] & (~0ull << cursor);
-      if (mask == 0) continue;
-      const auto slot = static_cast<unsigned>(std::countr_zero(mask));
-      if (level == 0) {
-        return TimePoint::from_ns(
-            static_cast<std::int64_t>(((n >> kSlotBits) << kSlotBits) | slot));
-      }
-      const Slot& s = wheel_[static_cast<std::size_t>(level)][slot];
-      TimePoint earliest = TimePoint::max();
-      for (const detail::EventRecord* r = s.head; r != nullptr; r = r->next) {
-        earliest = std::min(earliest, r->at);
-      }
-      return earliest;
-    }
-    BARB_ASSERT_MSG(false, "wheel_peek_time on an empty wheel");
-    return TimePoint::max();
-  }
-
-  // Earliest wheel record by the full (at, sched_at, seq) dispatch key.
-  // Precondition: wheel_count_ > 0 and drain_cursor_slots() has run.
-  const detail::EventRecord* wheel_peek_record() const {
-    const auto n = static_cast<std::uint64_t>(now_.ns());
-    for (int level = 0; level < levels_; ++level) {
-      const unsigned cursor =
-          static_cast<unsigned>(n >> (level * kSlotBits)) & (kSlots - 1);
-      const std::uint64_t mask =
-          occupied_[static_cast<std::size_t>(level)] & (~0ull << cursor);
-      if (mask == 0) continue;
-      const auto slot = static_cast<unsigned>(std::countr_zero(mask));
-      const Slot& s = wheel_[static_cast<std::size_t>(level)][slot];
-      if (level == 0) return s.head;  // single instant, (sched_at, seq) order
-      const detail::EventRecord* best = s.head;
-      for (const detail::EventRecord* r = s.head->next; r != nullptr;
-           r = r->next) {
-        if (r->at < best->at ||
-            (r->at == best->at &&
-             (r->sched_at < best->sched_at ||
-              (r->sched_at == best->sched_at && r->seq < best->seq)))) {
-          best = r;
-        }
-      }
-      return best;
-    }
-    BARB_ASSERT_MSG(false, "wheel_peek_record on an empty wheel");
-    return nullptr;
-  }
-
-  // Reaps cancelled records off the overflow heap top.
-  void purge_overflow_top() {
-    while (!overflow_.empty() && overflow_.front().rec->cancelled) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      free_record(overflow_.back().rec);
-      overflow_.pop_back();
-      --overflow_tombstones_;
-    }
-  }
-
-  // Moves every live overflow entry belonging to `epoch` into the wheel, in
-  // (time, seq) order so same-instant events keep their scheduling order.
-  // Precondition (wheel mode): now_ is inside `epoch`.
-  void migrate_epoch(std::uint64_t epoch) {
-    while (!overflow_.empty()) {
-      if (overflow_.front().rec->cancelled) {
-        purge_overflow_top();
-        continue;
-      }
-      if (epoch_of(overflow_.front().at) != epoch) break;
-      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      detail::EventRecord* r = overflow_.back().rec;
-      overflow_.pop_back();
-      wheel_link(r);
-      ++wheel_count_;
-    }
-    ++overflow_migrations_;
-  }
-
-  // Extracts the earliest live event, or nullptr when none remain. In wheel
-  // mode an empty wheel with a populated overflow advances the cursor to the
-  // next epoch and migrates it in first.
-  detail::EventRecord* pop_earliest() {
-    for (;;) {
-      if (wheel_count_ > 0) return wheel_pop_front();
-      purge_overflow_top();
-      if (overflow_.empty()) return nullptr;
-      if (levels_ == 0) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-        detail::EventRecord* r = overflow_.back().rec;
-        overflow_.pop_back();
-        --pending_;
-        return r;
-      }
-      const std::uint64_t epoch = epoch_of(overflow_.front().at);
-      const auto epoch_start = TimePoint::from_ns(
-          static_cast<std::int64_t>(epoch << kSpanBits));
-      BARB_ASSERT(epoch_start >= now_);
-      now_ = epoch_start;
-      migrate_epoch(epoch);
+  // Reaps cancelled records off the heap top.
+  void purge_top() {
+    while (!heap_.empty() && heap_.front().rec->cancelled) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      free_record(heap_.back().rec);
+      heap_.pop_back();
+      --tombstones_;
     }
   }
 
   // EventHandle::cancel with a verified generation lands here.
   void cancel_record(detail::EventRecord* r) {
     switch (r->state) {
-      case detail::EventState::kInWheel:
-        wheel_unlink(r);
-        --wheel_count_;
-        --pending_;
-        free_record(r);
-        break;
-      case detail::EventState::kInOverflow:
+      case detail::EventState::kQueued:
         if (!r->cancelled) {
           r->cancelled = true;
           --pending_;
-          ++overflow_tombstones_;
-          maybe_compact_overflow();
+          ++tombstones_;
+          maybe_compact();
         }
         break;
       case detail::EventState::kRunning:
@@ -621,25 +267,22 @@ class Scheduler {
     }
   }
 
-  // Sweeps cancelled entries out of the overflow heap once they outnumber
-  // live ones (and are numerous enough to matter), so long-lived cancelled
-  // timers — TCP retransmit timers under flood — cannot bloat the heap.
-  void maybe_compact_overflow() {
-    if (overflow_tombstones_ < 64 ||
-        overflow_tombstones_ * 2 <= overflow_.size()) {
-      return;
-    }
-    auto out = overflow_.begin();
-    for (OverflowEntry& e : overflow_) {
+  // Sweeps cancelled entries out of the heap once they outnumber live ones
+  // (and are numerous enough to matter), so long-lived cancelled timers —
+  // TCP retransmit timers under flood — cannot bloat the heap.
+  void maybe_compact() {
+    if (tombstones_ < 64 || tombstones_ * 2 <= heap_.size()) return;
+    auto out = heap_.begin();
+    for (Entry& e : heap_) {
       if (e.rec->cancelled) {
         free_record(e.rec);
       } else {
         *out++ = e;
       }
     }
-    overflow_.erase(out, overflow_.end());
-    std::make_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    overflow_tombstones_ = 0;
+    heap_.erase(out, heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    tombstones_ = 0;
     ++compactions_;
   }
 
@@ -668,15 +311,8 @@ class Scheduler {
     }
   }
 
-  const Backend backend_;
-  const int levels_;  // kLevels for the wheel, 0 for the pure heap
-
-  Slot wheel_[kLevels][kSlots];
-  std::uint64_t occupied_[kLevels] = {};
-  std::size_t wheel_count_ = 0;
-
-  std::vector<OverflowEntry> overflow_;  // min-heap via push_heap/pop_heap
-  std::size_t overflow_tombstones_ = 0;
+  std::vector<Entry> heap_;  // min-heap via push_heap/pop_heap
+  std::size_t tombstones_ = 0;
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   detail::EventRecord* free_list_ = nullptr;
@@ -685,8 +321,6 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::size_t pending_ = 0;
-  std::uint64_t cascades_ = 0;
-  std::uint64_t overflow_migrations_ = 0;
   std::uint64_t compactions_ = 0;
 };
 

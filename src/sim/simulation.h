@@ -2,181 +2,76 @@
 //
 // Every simulated component holds a reference to one Simulation and schedules
 // all its activity through it. One Simulation == one isolated testbed run.
-//
-// Parallel execution (opt-in): when a sim::ParallelEngine is attached, the
-// simulation's events are split across per-shard schedulers driven by worker
-// threads, and the members here route by thread: on a shard worker thread,
-// now()/schedule*() target that shard's scheduler (via thread-local context
-// the engine installs); on the main thread they target the engine's home
-// shard, except schedule_every_global() which keeps control events
-// (telemetry probes) on the main scheduler so they run between shard
-// segments at global quiescence. Without an engine nothing changes — the
-// thread-local context is null and every call lands on the one scheduler,
-// byte-identical to the pre-parallel engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "sim/random.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
-#include "util/assert.h"
 
 namespace barb::sim {
 
-namespace detail {
-// Set by a parallel-engine worker thread for its lifetime; null on the main
-// thread and on sweep-runner workers (which run whole serial Simulations).
-struct ShardContext {
-  Scheduler* sched = nullptr;
-  int shard = -1;
-};
-inline thread_local ShardContext tls_shard_context;
-}  // namespace detail
-
 class Simulation {
  public:
-  // Interface the parallel engine implements; Simulation stays ignorant of
-  // the engine's internals (and sim/simulation.h free of its declarations).
-  class EngineHook {
-   public:
-    virtual ~EngineHook() = default;
-    virtual void run_until(TimePoint until) = 0;
-    virtual void run_to_empty() = 0;
-    virtual std::uint64_t events_executed() const = 0;
-    virtual bool queues_empty() const = 0;
-    virtual Scheduler& home_scheduler() = 0;
-  };
-
   explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {}
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  TimePoint now() const {
-    const Scheduler* s = detail::tls_shard_context.sched;
-    return s != nullptr ? s->now() : scheduler_.now();
-  }
+  TimePoint now() const { return scheduler_.now(); }
 
   // The simulation-wide RNG stream. Draw order is part of the deterministic
-  // timeline, so under a parallel engine only one shard (the partition's
-  // "home" shard, which hosts every RNG-drawing component) may touch it —
-  // a draw from any other shard would make the stream depend on thread
-  // interleaving. Fault injectors have their own per-port streams and are
-  // exempt by construction.
-  Random& rng() {
-    BARB_ASSERT_MSG(
-        detail::tls_shard_context.shard < 0 ||
-            detail::tls_shard_context.shard == rng_home_shard_,
-        "Simulation::rng() used from a non-home shard; this partition "
-        "requires all RNG-drawing components on the RNG home shard");
-    return rng_;
-  }
+  // timeline. Fault injectors have their own per-port streams.
+  Random& rng() { return rng_; }
   Scheduler& scheduler() { return scheduler_; }
-
-  // Attaches (or detaches, with nullptr) a parallel engine. `rng_home_shard`
-  // is the only shard whose worker thread may call rng(); pass -1 to forbid
-  // all shard-side draws (spread partitions with draw-free workloads).
-  void attach_engine(EngineHook* engine, int rng_home_shard = 0) {
-    engine_ = engine;
-    rng_home_shard_ = engine == nullptr ? 0 : rng_home_shard;
-  }
-  EngineHook* engine() const { return engine_; }
 
   // Schedules `fn` after `delay` (>= 0) of simulated time.
   EventHandle schedule(Duration delay, Scheduler::Callback fn) {
-    return target_scheduler().schedule_at(now() + delay, std::move(fn));
+    return scheduler_.schedule_at(now() + delay, std::move(fn));
   }
 
   EventHandle schedule_at(TimePoint at, Scheduler::Callback fn) {
-    return target_scheduler().schedule_at(at, std::move(fn));
+    return scheduler_.schedule_at(at, std::move(fn));
   }
 
   // Schedules `fn` every `period`, first firing one period from now. The
   // recurrence reuses a single slab record (no per-tick allocation); cancel
   // the returned handle to stop it.
   EventHandle schedule_every(Duration period, Scheduler::Callback fn) {
-    Scheduler& s = target_scheduler();
-    return s.schedule_every(now() + period, period, std::move(fn));
-  }
-
-  // Like schedule_every, but pinned to the main ("control") scheduler even
-  // when a parallel engine is attached. Control events run on the main
-  // thread between shard segments, at global quiescence, so their callbacks
-  // may read cross-shard state (telemetry sampling). Without an engine this
-  // is exactly schedule_every.
-  EventHandle schedule_every_global(Duration period, Scheduler::Callback fn) {
-    return scheduler_.schedule_every(scheduler_.now() + period, period,
-                                     std::move(fn));
+    return scheduler_.schedule_every(now() + period, period, std::move(fn));
   }
 
   // Runs until the event queue drains or `stop()` is called.
   void run() {
-    stopped_.store(false, std::memory_order_relaxed);
-    if (engine_ != nullptr) {
-      engine_->run_to_empty();
-      return;
-    }
-    while (!stopped_.load(std::memory_order_relaxed) && scheduler_.run_one()) {
+    stopped_ = false;
+    while (!stopped_ && scheduler_.run_one()) {
     }
   }
 
   // Runs events with timestamps <= `until`, then sets the clock to `until`.
   void run_until(TimePoint until) {
-    stopped_.store(false, std::memory_order_relaxed);
-    if (engine_ != nullptr) {
-      engine_->run_until(until);
-      return;
-    }
-    while (!stopped_.load(std::memory_order_relaxed) && !scheduler_.empty() &&
+    stopped_ = false;
+    while (!stopped_ && !scheduler_.empty() &&
            scheduler_.next_event_time() <= until) {
       scheduler_.run_one();
     }
-    if (!stopped_.load(std::memory_order_relaxed) && scheduler_.now() < until) {
-      scheduler_.advance_to(until);
-    }
+    if (!stopped_ && scheduler_.now() < until) scheduler_.advance_to(until);
   }
 
   void run_for(Duration d) { run_until(now() + d); }
 
-  // Stops the run loop after the current event returns (with an engine
-  // attached: after the current segment completes).
-  void stop() { stopped_.store(true, std::memory_order_relaxed); }
-  bool stop_requested() const {
-    return stopped_.load(std::memory_order_relaxed);
-  }
+  // Stops the run loop after the current event returns.
+  void stop() { stopped_ = true; }
+  bool stop_requested() const { return stopped_; }
 
-  std::uint64_t events_executed() const {
-    return scheduler_.events_executed() +
-           (engine_ != nullptr ? engine_->events_executed() : 0);
-  }
-
-  // True when no live events remain anywhere: the one scheduler in serial
-  // mode; every shard wheel, cross-shard mailbox, and the control scheduler
-  // with an engine attached. (Quiescence checks must use this instead of
-  // scheduler().empty().)
-  bool queues_empty() const {
-    return scheduler_.empty() &&
-           (engine_ == nullptr || engine_->queues_empty());
-  }
+  std::uint64_t events_executed() const { return scheduler_.events_executed(); }
 
  private:
-  Scheduler& target_scheduler() {
-    if (detail::tls_shard_context.sched != nullptr) {
-      return *detail::tls_shard_context.sched;
-    }
-    if (engine_ != nullptr) return engine_->home_scheduler();
-    return scheduler_;
-  }
-
   Scheduler scheduler_;
   Random rng_;
-  std::atomic<bool> stopped_{false};
-  EngineHook* engine_ = nullptr;
-  int rng_home_shard_ = 0;
+  bool stopped_ = false;
 };
 
 }  // namespace barb::sim

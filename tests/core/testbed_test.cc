@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "firewall/policy.h"
 #include "stack/udp.h"
 
@@ -182,6 +185,30 @@ TEST(Testbed, SettleIsNoopInDirectMode) {
   Testbed tb(sim, cfg);
   tb.settle();
   EXPECT_EQ(sim.now(), sim::TimePoint::origin());
+}
+
+// Only the serial event engine exists: des_shards 0 and 1 build the
+// ordinary testbed, anything larger is refused with a message naming the
+// field instead of being silently ignored.
+TEST(Testbed, DesShardsAboveOneIsRejected) {
+  for (int shards : {0, 1}) {
+    sim::Simulation sim(1);
+    TestbedConfig cfg;
+    cfg.des_shards = shards;
+    Testbed tb(sim, cfg);
+    EXPECT_EQ(tb.fabric().num_hosts(), 4) << "des_shards=" << shards;
+  }
+  sim::Simulation sim(1);
+  TestbedConfig cfg;
+  cfg.des_shards = 2;
+  try {
+    Testbed tb(sim, cfg);
+    FAIL() << "Testbed accepted des_shards = 2";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("des_shards = 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("serial"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace
