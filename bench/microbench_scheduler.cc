@@ -18,9 +18,10 @@
 // allocation, so the steady-state measurement window can assert *zero*
 // allocations per scheduled event on the new engine.
 //
-// The two engines run in kReps interleaved legacy/heap pairs on fresh
-// schedulers; the speedup is the median of the per-pair ratios, so one
-// noisy repetition cannot flip the gate.
+// The two engines run in kReps legacy/heap pairs on fresh schedulers. Within
+// a pair the measured window alternates between the engines in short slices,
+// so both see the same host load; the speedup is the median of the per-pair
+// ratios, so one noisy repetition cannot flip the gate.
 //
 // Gates (the bench exits nonzero, so the ctest run is a regression gate):
 //   median heap/legacy events/sec >= 2x
@@ -216,21 +217,58 @@ struct RunResult {
   double allocs_per_event = 0;
 };
 
-template <class Sched, class Handle>
-RunResult run_bench(Sched& sched, std::uint64_t warmup, std::uint64_t measured) {
-  Workload<Sched, Handle> w(sched);
-  w.run_until_count(warmup);
+// Seconds and allocations spent by one engine across its measured slices.
+struct SliceTotals {
+  double secs = 0;
+  std::uint64_t allocs = 0;
+};
+
+template <class W>
+void run_slice(W& w, std::uint64_t target, SliceTotals& totals) {
   const std::uint64_t allocs_before = g_alloc_count;
   const auto t0 = std::chrono::steady_clock::now();
-  w.run_until_count(warmup + measured);
+  w.run_until_count(target);
   const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs = g_alloc_count - allocs_before;
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
+  totals.allocs += g_alloc_count - allocs_before;
+  totals.secs += std::chrono::duration<double>(t1 - t0).count();
+}
+
+RunResult to_result(const SliceTotals& t, std::uint64_t measured) {
   RunResult r;
-  const double n = static_cast<double>(w.executed() - warmup);
-  r.events_per_sec = secs > 0 ? n / secs : 0;
-  r.allocs_per_event = allocs > 0 ? static_cast<double>(allocs) / n : 0.0;
+  const double n = static_cast<double>(measured);
+  r.events_per_sec = t.secs > 0 ? n / t.secs : 0;
+  r.allocs_per_event = static_cast<double>(t.allocs) / n;
   return r;
+}
+
+// Runs the legacy and the heap engine side by side on fresh schedulers: both
+// warm up, then the measured window is cut into short slices that alternate
+// between the engines (and alternate which engine goes first), so a change in
+// host load during the run lands on both engines alike instead of skewing
+// their ratio.
+std::pair<RunResult, RunResult> run_pair(std::uint64_t warmup,
+                                         std::uint64_t measured) {
+  constexpr std::uint64_t kSlice = 20'000;
+  LegacyScheduler legacy;
+  barb::sim::Scheduler heap;
+  Workload<LegacyScheduler, LegacyHandle> lw(legacy);
+  Workload<barb::sim::Scheduler, barb::sim::EventHandle> hw(heap);
+  lw.run_until_count(warmup);
+  hw.run_until_count(warmup);
+  SliceTotals lt, ht;
+  bool legacy_first = true;
+  for (std::uint64_t done = 0; done < measured; done += kSlice) {
+    const std::uint64_t target = warmup + std::min(done + kSlice, measured);
+    if (legacy_first) {
+      run_slice(lw, target, lt);
+      run_slice(hw, target, ht);
+    } else {
+      run_slice(hw, target, ht);
+      run_slice(lw, target, lt);
+    }
+    legacy_first = !legacy_first;
+  }
+  return {to_result(lt, lw.executed() - warmup), to_result(ht, hw.executed() - warmup)};
 }
 
 }  // namespace
@@ -257,12 +295,7 @@ int main() {
   double heap_allocs = 0.0;
   double legacy_allocs = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
-    LegacyScheduler legacy;
-    const RunResult legacy_r =
-        run_bench<LegacyScheduler, LegacyHandle>(legacy, warmup, measured);
-    sim::Scheduler heap;
-    const RunResult heap_r =
-        run_bench<sim::Scheduler, sim::EventHandle>(heap, warmup, measured);
+    const auto [legacy_r, heap_r] = run_pair(warmup, measured);
     legacy_eps.push_back(legacy_r.events_per_sec);
     heap_eps.push_back(heap_r.events_per_sec);
     speedups.push_back(legacy_r.events_per_sec > 0

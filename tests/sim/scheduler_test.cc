@@ -86,7 +86,10 @@ TEST(Scheduler, CancelAfterFireIsNoop) {
   while (s.run_one()) {
   }
   EXPECT_FALSE(h.pending());
-  h.cancel();  // must not crash
+  h.cancel();  // must not crash or disturb anything
+  EXPECT_FALSE(h.pending());
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.tombstone_count(), 0u);
 }
 
 TEST(Scheduler, DefaultHandleIsInert) {
@@ -406,13 +409,16 @@ class RandomTrace {
   std::vector<std::uint64_t> periodic_;
 };
 
-TEST(Scheduler, RandomTraceMatchesReferenceOrder) {
+// Runs the same seeded trace through sim::Scheduler and the reference, in
+// `slices` run_until-style slices of 250 us (0 = one straight drain), and
+// requires identical dispatch sequences, slice-boundary live counts and clocks.
+void expect_trace_matches_reference(int slices) {
   for (std::uint64_t seed : {1u, 2u, 3u, 12345u}) {
     RandomTrace<EngineUnderTest> engine(seed);
     RandomTrace<ReferenceScheduler> reference(seed);
-    engine.run(/*seed_events=*/64, /*budget=*/3000, /*slices=*/200,
+    engine.run(/*seed_events=*/64, /*budget=*/3000, slices,
                Duration::microseconds(250));
-    reference.run(/*seed_events=*/64, /*budget=*/3000, /*slices=*/200,
+    reference.run(/*seed_events=*/64, /*budget=*/3000, slices,
                   Duration::microseconds(250));
     ASSERT_GT(engine.dispatched.size(), 3000u) << "seed " << seed;
     ASSERT_EQ(engine.dispatched.size(), reference.dispatched.size())
@@ -426,6 +432,16 @@ TEST(Scheduler, RandomTraceMatchesReferenceOrder) {
     EXPECT_EQ(engine.engine.now(), reference.engine.now()) << "seed " << seed;
     EXPECT_TRUE(engine.engine.empty());
   }
+}
+
+TEST(Scheduler, RandomTraceMatchesReferenceOrder) {
+  expect_trace_matches_reference(/*slices=*/200);
+}
+
+// The same traces dispatched by run_one() alone, without next_event_time()
+// or advance_to() in between.
+TEST(Scheduler, RandomTraceDrainMatchesReferenceOrder) {
+  expect_trace_matches_reference(/*slices=*/0);
 }
 
 TEST(Simulation, RunUntilStopsAtBoundaryAndAdvancesClock) {
