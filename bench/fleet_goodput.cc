@@ -87,11 +87,13 @@ FleetResult run_fleet(int hosts, std::uint64_t seed, bool batched,
   };
   auto fabric = core::build_leaf_spine(sim, spec);
 
-  // Install the same deny-flood policy on every firewalled host.
+  // Install the same deny-flood policy on every firewalled host: one
+  // immutable rule-set, shared by every card.
   auto parsed = firewall::parse_policy(fleet_policy());
   BARB_ASSERT(parsed.ok());
+  const auto rules = std::make_shared<const firewall::RuleSet>(std::move(*parsed.rule_set));
   for (int i = kAttackers; i < hosts; ++i) {
-    fabric->firewall(i)->install_rule_set(*parsed.rule_set);
+    fabric->firewall(i)->install_rule_set(rules);
   }
 
   // Pairing: clients are the first half of the non-attacker hosts, servers

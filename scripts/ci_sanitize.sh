@@ -18,6 +18,8 @@ BUILD_DIR="${1:-build-asan}"
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
-cmake -B "$BUILD_DIR" -S . -DASAN=ON
+# -DBARB_WERROR=ON: the -Wall -Wextra build is clean, so a new warning fails
+# the lane.
+cmake -B "$BUILD_DIR" -S . -DASAN=ON -DBARB_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -8,7 +8,9 @@
 # The fleet bench then runs at --jobs 4: each sweep task builds a full
 # multi-switch fabric (TopologyBuilder, shared AddressDirectory, bounded
 # FIBs) and drives batched-link simulations on a pool thread, proving the
-# fleet-scale path is shared-nothing too.
+# fleet-scale path is shared-nothing too. The PolicyFanout suite covers the
+# one thing simulations do share: the process-wide table of parsed policies
+# (parse_policy_shared), which two simulations on two threads push into.
 #
 # Usage: scripts/ci_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -21,9 +23,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 cmake -B "$BUILD_DIR" -S . -DTSAN=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target core_sweep_runner_test net_buffer_pool_stress_test \
-  firewall_classifier_test firewall_flow_cache_test fleet_goodput fuzz_main
+  firewall_classifier_test firewall_flow_cache_test firewall_policy_fanout_test \
+  fleet_goodput fuzz_main
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SweepRunner|DerivePointSeed|ResolveJobs|JobsFromCli|BufferPoolThreading|CompiledClassifier|FlowCache'
+  -R 'SweepRunner|DerivePointSeed|ResolveJobs|JobsFromCli|BufferPoolThreading|CompiledClassifier|FlowCache|PolicyFanout'
 BARB_BENCH_FAST=1 "$BUILD_DIR"/bench/fleet_goodput --jobs 4
 
 # Policy-family seeds at --jobs 4: corpus generation, the pairwise analyzer,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <unordered_set>
 #include <utility>
 
 #include "util/assert.h"
@@ -80,11 +81,16 @@ MemoryAudit Fabric::memory_audit() const {
   MemoryAudit audit;
   audit.hosts = hosts_.size();
   if (directory_) audit.directory_bytes = directory_->memory_bytes();
+  std::unordered_set<const firewall::RuleSet*> rule_sets;
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     audit.arp_private_bytes += hosts_[i]->arp().memory_bytes();
     audit.host_object_bytes += sizeof(stack::Host);
-    if (firewalls_[i] != nullptr) {
-      audit.flow_state_bytes += firewalls_[i]->flow_states().memory_bytes();
+    if (const auto* fw = firewalls_[i]) {
+      audit.flow_state_bytes += fw->flow_states().memory_bytes();
+      audit.flow_cache_bytes += fw->flow_cache().memory_bytes();
+      if (rule_sets.insert(&fw->rule_set()).second) {
+        audit.rule_set_bytes += fw->rule_set().memory_bytes();
+      }
       audit.host_object_bytes += sizeof(firewall::FirewallNic);
     } else {
       audit.host_object_bytes += sizeof(stack::StandardNic);

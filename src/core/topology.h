@@ -78,11 +78,14 @@ struct MemoryAudit {
   std::size_t arp_private_bytes = 0;  // per-host private ARP maps, summed
   std::size_t switch_fib_bytes = 0;   // bounded FIBs, summed over switches
   std::size_t flow_state_bytes = 0;   // stateful flow tables, summed
+  std::size_t flow_cache_bytes = 0;   // compiled-backend flow caches, summed
+  // Installed rule-sets: each distinct one once, however many cards share it.
+  std::size_t rule_set_bytes = 0;
   std::size_t host_object_bytes = 0;  // the Host/Nic objects themselves
 
   std::size_t total_bytes() const {
     return directory_bytes + arp_private_bytes + switch_fib_bytes +
-           flow_state_bytes + host_object_bytes;
+           flow_state_bytes + flow_cache_bytes + rule_set_bytes + host_object_bytes;
   }
   std::size_t per_host_bytes() const {
     return hosts == 0 ? 0 : total_bytes() / hosts;

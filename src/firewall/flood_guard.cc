@@ -47,7 +47,8 @@ bool FloodGuard::admit(const net::FrameView& view, sim::TimePoint now) {
     auto [inserted, _] = sources_.emplace(
         source, SourceEntry{TokenBucket(std::max(1.0, per_source_rate_),
                                         config_.per_source_burst),
-                            lru_.begin()});
+                            lru_.begin(), /*violations=*/0,
+                            /*violation_window_start=*/{}, /*penalized_until=*/{}});
     it = inserted;
     // Burn idle accrual so a brand-new source starts with its burst only.
     (void)it->second.bucket.tokens(now);

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "util/assert.h"
 #include "util/logging.h"
 
 namespace barb::firewall {
@@ -12,10 +13,22 @@ FirewallNic::FirewallNic(sim::Simulation& sim, net::MacAddress mac, std::string 
       profile_(std::move(profile)),
       flow_cache_(FlowCacheConfig{profile_.flow_cache_capacity}) {
   // An unconfigured card passes traffic (the paper's "default allow all").
-  rules_.set_default_action(RuleAction::kAllow);
+  rules_ = std::make_shared<const RuleSet>(std::vector<Rule>{}, RuleAction::kAllow);
   // The compiled structure must always mirror rules_, including the initial
   // unconfigured (empty, default-allow) policy.
-  if (profile_.match_backend != MatchBackend::kLinear) compiled_.rebuild(rules_);
+  if (profile_.match_backend != MatchBackend::kLinear) compiled_.rebuild(*rules_);
+}
+
+void FirewallNic::install_rule_set(std::shared_ptr<const RuleSet> rules) {
+  BARB_ASSERT(rules != nullptr);
+  rules_ = std::move(rules);
+  flow_states_.clear();  // old verdicts may no longer be valid
+  if (profile_.match_backend != MatchBackend::kLinear) {
+    compiled_.rebuild(*rules_);
+    flow_cache_.bump_generation();
+    ++matchstats_.rebuilds;
+  }
+  reconfigure_guard();
 }
 
 void FirewallNic::restart() {
@@ -162,7 +175,7 @@ void FirewallNic::start_next() {
 MatchResult FirewallNic::classify(const net::FrameView& view,
                                   sim::Duration* service) {
   if (profile_.match_backend == MatchBackend::kLinear) {
-    const MatchResult mr = rules_.match(view);
+    const MatchResult mr = rules_->match(view);
     *service += profile_.per_rule * static_cast<std::int64_t>(mr.rules_traversed);
     return mr;
   }
@@ -341,7 +354,7 @@ void FirewallNic::reconfigure_guard() {
   sim::Duration match_cost;
   switch (profile_.match_backend) {
     case MatchBackend::kLinear:
-      match_cost = profile_.per_rule * rules_.total_cost_units();
+      match_cost = profile_.per_rule * rules_->total_cost_units();
       break;
     case MatchBackend::kCompiled:
       match_cost = profile_.compiled_node * compiled_.worst_case_nodes();

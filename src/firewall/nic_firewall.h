@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 
 #include "firewall/classifier/compiled_classifier.h"
@@ -56,16 +57,11 @@ class FirewallNic : public stack::Nic {
   // A push is atomic with respect to frame processing (the embedded CPU
   // picks up verdicts between frames): the compiled structure is rebuilt
   // wholesale and the flow cache's generation is bumped before the next
-  // frame is classified.
+  // frame is classified. The card holds the rule-set immutably, so cards
+  // given the same pointer share one copy (see parse_policy_shared).
+  void install_rule_set(std::shared_ptr<const RuleSet> rules);
   void install_rule_set(RuleSet rules) {
-    rules_ = std::move(rules);
-    flow_states_.clear();  // old verdicts may no longer be valid
-    if (profile_.match_backend != MatchBackend::kLinear) {
-      compiled_.rebuild(rules_);
-      flow_cache_.bump_generation();
-      ++matchstats_.rebuilds;
-    }
-    reconfigure_guard();
+    install_rule_set(std::make_shared<const RuleSet>(std::move(rules)));
   }
 
   // Enables the FloodGuard screening stage (the paper's hoped-for
@@ -83,7 +79,7 @@ class FirewallNic : public stack::Nic {
   // for policy-server communication — without it, a deny-by-default policy
   // would cut the card off from its own management channel.
   void set_management_peer(net::Ipv4Address ip) { management_peer_ = ip; }
-  const RuleSet& rule_set() const { return rules_; }
+  const RuleSet& rule_set() const { return *rules_; }
   VpgTable& vpg_table() { return vpgs_; }
 
   const DeviceProfile& profile() const { return profile_; }
@@ -135,7 +131,7 @@ class FirewallNic : public stack::Nic {
   void reconfigure_guard();
 
   DeviceProfile profile_;
-  RuleSet rules_;
+  std::shared_ptr<const RuleSet> rules_;
   VpgTable vpgs_;
   FloodGuard guard_{FloodGuardConfig{}};  // disabled by default
   FlowStateTable flow_states_;            // used when profile_.stateful

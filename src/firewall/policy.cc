@@ -1,6 +1,8 @@
 #include "firewall/policy.h"
 
 #include <charconv>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 namespace barb::firewall {
@@ -216,6 +218,78 @@ PolicyParseResult parse_policy(std::string_view text) {
 
   result.rule_set = std::move(rule_set);
   return result;
+}
+
+namespace {
+
+// One parsed policy and the text it came from. The table's key views this
+// text, so each distinct policy's text is held once, by its node.
+struct SharedPolicyNode {
+  std::string text;
+  RuleSet rules;
+};
+
+struct SharedPolicyTable {
+  std::mutex mu;
+  std::unordered_map<std::string_view, std::weak_ptr<const RuleSet>> entries;
+};
+
+// Never destroyed: a rule-set may be released during static destruction.
+SharedPolicyTable& shared_policy_table() {
+  static auto* table = new SharedPolicyTable;
+  return *table;
+}
+
+// The last holder's deleter. The entry is erased only if it is still this
+// node's: a holder that found it expired may already have replaced it.
+void release_shared_policy(SharedPolicyNode* node) {
+  auto& table = shared_policy_table();
+  {
+    std::lock_guard lock(table.mu);
+    auto it = table.entries.find(node->text);
+    if (it != table.entries.end() && it->first.data() == node->text.data()) {
+      table.entries.erase(it);
+    }
+  }
+  delete node;
+}
+
+}  // namespace
+
+SharedPolicyParse parse_policy_shared(std::string_view text) {
+  auto& table = shared_policy_table();
+  {
+    std::lock_guard lock(table.mu);
+    auto it = table.entries.find(text);
+    if (it != table.entries.end()) {
+      if (auto live = it->second.lock()) return {std::move(live), std::nullopt};
+    }
+  }
+
+  // Parse outside the lock; another thread may publish the same text first.
+  auto parsed = parse_policy(text);
+  if (!parsed.ok()) return {nullptr, std::move(parsed.error)};
+  auto* node = new SharedPolicyNode{std::string(text), std::move(*parsed.rule_set)};
+  const std::shared_ptr<SharedPolicyNode> owner(node, release_shared_policy);
+  std::shared_ptr<const RuleSet> rules(owner, &node->rules);
+
+  std::lock_guard lock(table.mu);
+  auto it = table.entries.find(text);
+  if (it != table.entries.end()) {
+    if (auto live = it->second.lock()) {
+      rules.swap(live);  // ours is released after the lock, below
+      return {std::move(rules), std::nullopt};
+    }
+    table.entries.erase(it);  // expired: its deleter is waiting for the lock
+  }
+  table.entries.emplace(std::string_view(node->text), rules);
+  return {std::move(rules), std::nullopt};
+}
+
+std::size_t shared_policy_count() {
+  auto& table = shared_policy_table();
+  std::lock_guard lock(table.mu);
+  return table.entries.size();
 }
 
 }  // namespace barb::firewall

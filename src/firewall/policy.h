@@ -14,6 +14,8 @@
 // is how policies travel over the distribution protocol.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,5 +37,24 @@ struct PolicyParseResult {
 };
 
 PolicyParseResult parse_policy(std::string_view text);
+
+// Content-addressed parse. Returns the rule-set for `text`, shared with
+// every live holder of byte-identical text in this process, so a policy
+// pushed to a thousand agents is parsed once and held once. A hit requires
+// the whole text to match, not just its hash. The table is guarded by a
+// mutex (sweep workers run simulations on several threads); its entries are
+// weak, and the last holder of a rule-set erases the rule-set's entry.
+// Failed parses are not cached: each one is re-parsed and reports its error.
+struct SharedPolicyParse {
+  std::shared_ptr<const RuleSet> rule_set;
+  std::optional<PolicyParseError> error;
+
+  bool ok() const { return rule_set != nullptr; }
+};
+
+SharedPolicyParse parse_policy_shared(std::string_view text);
+
+// Distinct policies the shared table holds right now.
+std::size_t shared_policy_count();
 
 }  // namespace barb::firewall

@@ -89,7 +89,13 @@ void PolicyAgent::apply_policy(const std::string& body) {
   // Body: "version <n>\n" followed by policy text; "vpgkey <id> <hex>"
   // lines carry VPG key material and are stripped before parsing.
   std::uint64_t version = 0;
-  std::string policy_text;
+  // The kept lines are normally one newline-terminated run of the body (the
+  // version line first, any vpgkey lines last) and are parsed in place; only
+  // a body that interleaves them is copied into `scattered`.
+  std::size_t run_begin = 0;
+  std::size_t run_end = 0;
+  bool in_place = true;
+  std::string scattered;
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> keys;
 
   std::size_t pos = 0;
@@ -127,12 +133,25 @@ void PolicyAgent::apply_policy(const std::string& body) {
       }
       keys.emplace_back(id, std::move(*key_bytes));
     } else {
-      policy_text.append(line);
-      policy_text.push_back('\n');
+      const std::size_t begin = static_cast<std::size_t>(line.data() - body.data());
+      const bool run_empty = run_begin == run_end;
+      if (in_place && (run_empty || run_end == begin) && nl != std::string::npos) {
+        if (run_empty) run_begin = begin;
+        run_end = pos;
+      } else {
+        if (in_place) scattered.assign(body, run_begin, run_end - run_begin);
+        in_place = false;
+        scattered.append(line);
+        scattered.push_back('\n');
+      }
     }
   }
+  const std::string_view policy_text =
+      in_place ? std::string_view(body).substr(run_begin, run_end - run_begin)
+               : std::string_view(scattered);
 
-  auto parsed = parse_policy(policy_text);
+  // Every agent pushed the same text shares one immutable parse of it.
+  auto parsed = parse_policy_shared(policy_text);
   if (!ok || !parsed.ok()) {
     ++stats_.policy_errors;
     if (parsed.error) {
@@ -142,7 +161,7 @@ void PolicyAgent::apply_policy(const std::string& body) {
     return;
   }
 
-  nic_.install_rule_set(std::move(*parsed.rule_set));
+  nic_.install_rule_set(std::move(parsed.rule_set));
   for (auto& [id, key] : keys) {
     nic_.vpg_table().install(id, key);
   }

@@ -8,17 +8,23 @@ namespace barb::firewall {
 std::vector<std::uint8_t> encode_policy_message(const PolicyMessage& msg,
                                                 std::span<const std::uint8_t> key) {
   std::vector<std::uint8_t> out;
-  out.reserve(18 + msg.body.size() + kPolicyMacSize);
+  encode_policy_message(msg.type, msg.seq, msg.body, key, out);
+  return out;
+}
+
+void encode_policy_message(PolicyMsgType type, std::uint64_t seq, std::string_view body,
+                           std::span<const std::uint8_t> key, std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  out.reserve(start + 18 + body.size() + kPolicyMacSize);
   ByteWriter w(out);
   w.u32(kPolicyMagic);
-  w.u8(static_cast<std::uint8_t>(msg.type));
+  w.u8(static_cast<std::uint8_t>(type));
   w.u8(0);  // flags
-  w.u64(msg.seq);
-  w.u32(static_cast<std::uint32_t>(msg.body.size()));
-  w.bytes(reinterpret_cast<const std::uint8_t*>(msg.body.data()), msg.body.size());
-  const auto mac = crypto::hmac_sha256(key, out);
+  w.u64(seq);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.bytes(reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+  const auto mac = crypto::hmac_sha256(key, std::span(out).subspan(start));
   w.bytes(mac);
-  return out;
 }
 
 std::optional<PolicyMessage> PolicyMessageReader::next(
@@ -37,7 +43,7 @@ std::optional<PolicyMessage> PolicyMessageReader::next(
   r.u8();  // flags
   const std::uint64_t seq = r.u64();
   const std::uint32_t len = r.u32();
-  if (len > 1 << 20) {  // sanity bound on policy size
+  if (len > kMaxPolicyBodyBytes) {
     corrupted_ = true;
     return std::nullopt;
   }
@@ -66,6 +72,7 @@ std::optional<PolicyMessage> PolicyMessageReader::next(
   msg.seq = seq;
   msg.body.assign(reinterpret_cast<const char*>(buffer_.data() + kHeaderSize), len);
   buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(total));
+  if (buffer_.empty()) buffer_ = {};  // drained: release the storage too
   return msg;
 }
 

@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace barb::firewall {
@@ -41,14 +42,25 @@ struct PolicyMessage {
 
 constexpr std::uint32_t kPolicyMagic = 0x42504c43;  // 'BPLC'
 constexpr std::size_t kPolicyMacSize = 32;
+// Largest body either side handles. A reader treats a longer length field
+// as a poisoned stream; the server refuses to set a policy whose body would
+// exceed it, so an oversized policy fails at set_policy, not as an endless
+// push / abort / reconnect loop.
+constexpr std::size_t kMaxPolicyBodyBytes = std::size_t{1} << 20;
 
 std::vector<std::uint8_t> encode_policy_message(const PolicyMessage& msg,
                                                 std::span<const std::uint8_t> key);
+// Appends the encoded message to `out`. A sender that keeps one buffer for
+// every message reuses its capacity instead of allocating each frame.
+void encode_policy_message(PolicyMsgType type, std::uint64_t seq, std::string_view body,
+                           std::span<const std::uint8_t> key, std::vector<std::uint8_t>& out);
 
 // Incremental decoder over a TCP byte stream. Feed bytes with append();
 // next() yields complete, authenticated messages. A bad MAC or malformed
 // header poisons the stream (corrupted() == true) — the connection should
-// be dropped, which is what an agent under attack must do.
+// be dropped, which is what an agent under attack must do. The reader gives
+// its buffer back whenever it has drained, so an idle connection holds no
+// copy of the last policy it received.
 class PolicyMessageReader {
  public:
   void append(std::span<const std::uint8_t> bytes) {

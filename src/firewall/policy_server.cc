@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/assert.h"
 #include "util/byte_io.h"
 #include "util/logging.h"
 
@@ -57,12 +58,50 @@ std::uint64_t PolicyServer::policy_version(net::Ipv4Address agent) const {
   return it == policies_.end() ? 0 : it->second.version;
 }
 
-void PolicyServer::set_policy(net::Ipv4Address agent, std::string policy_text) {
-  set_shared_policy(agent, std::make_shared<const std::string>(std::move(policy_text)));
+namespace {
+
+// Length of the body render_policy_body produces, without building it.
+std::size_t policy_body_size(std::uint64_t version, std::string_view text,
+                             std::span<const VpgKeyEntry> keys) {
+  std::size_t n = std::string_view("version \n").size() + std::to_string(version).size();
+  if (!text.empty()) n += text.size() + (text.ends_with('\n') ? 0 : 1);
+  for (const auto& k : keys) {
+    n += std::string_view("vpgkey  \n").size() + std::to_string(k.vpg_id).size() +
+         2 * k.master_key.size();
+  }
+  return n;
 }
 
-std::size_t PolicyServer::set_policy_all(std::span<const net::Ipv4Address> agents,
-                                         const std::string& policy_text) {
+}  // namespace
+
+bool PolicyServer::policy_fits(net::Ipv4Address agent,
+                               const std::string& policy_text) const {
+  auto it = policies_.find(agent);
+  const bool known = it != policies_.end();
+  return policy_body_size((known ? it->second.version : 0) + 1, policy_text,
+                          known ? std::span(it->second.keys)
+                                : std::span<const VpgKeyEntry>{}) <= kMaxPolicyBodyBytes;
+}
+
+bool PolicyServer::set_policy(net::Ipv4Address agent, std::string policy_text) {
+  if (!policy_fits(agent, policy_text)) {
+    BARB_WARN("policy server: policy for %s exceeds %zu bytes, refused",
+              agent.to_string().c_str(), kMaxPolicyBodyBytes);
+    return false;
+  }
+  set_shared_policy(agent, std::make_shared<const std::string>(std::move(policy_text)));
+  return true;
+}
+
+std::optional<std::size_t> PolicyServer::set_policy_all(
+    std::span<const net::Ipv4Address> agents, const std::string& policy_text) {
+  for (const auto& agent : agents) {
+    if (!policy_fits(agent, policy_text)) {
+      BARB_WARN("policy server: policy for %s exceeds %zu bytes, refused for all %zu agents",
+                agent.to_string().c_str(), kMaxPolicyBodyBytes, agents.size());
+      return std::nullopt;
+    }
+  }
   const auto shared = std::make_shared<const std::string>(policy_text);
   std::size_t pushed = 0;
   for (const auto& agent : agents) {
@@ -125,53 +164,61 @@ void PolicyServer::create_vpg(std::uint32_t vpg_id,
 }
 
 void PolicyServer::command_restart(net::Ipv4Address agent) {
-  PolicyMessage msg;
-  msg.type = PolicyMsgType::kRestart;
-  msg.seq = next_seq_++;
-  send_to(agent, msg);
+  send_to(agent, PolicyMsgType::kRestart, next_seq_++, {});
 }
 
-std::string PolicyServer::render_policy_body(net::Ipv4Address agent) {
+void PolicyServer::render_policy_body(net::Ipv4Address agent, std::string& body) {
   const auto& entry = policies_[agent];
-  std::string body = "version " + std::to_string(entry.version) + "\n";
+  body.assign("version ").append(std::to_string(entry.version)).append("\n");
   if (entry.text) body += *entry.text;
   if (!body.ends_with('\n')) body += "\n";
   for (const auto& k : entry.keys) {
     body += "vpgkey " + std::to_string(k.vpg_id) + " " + to_hex(k.master_key) + "\n";
   }
-  return body;
+  BARB_ASSERT(body.size() ==
+              policy_body_size(entry.version,
+                               entry.text ? std::string_view(*entry.text) : std::string_view(),
+                               entry.keys));
 }
 
 void PolicyServer::push_policy(net::Ipv4Address agent) {
   auto sit = sessions_.find(agent);
   if (sit == sessions_.end()) return;  // will be pushed on connect
-  PolicyMessage msg;
-  msg.type = PolicyMsgType::kPolicyUpdate;
-  msg.seq = next_seq_++;
-  msg.body = render_policy_body(agent);
-  send_to(agent, msg);
+  render_policy_body(agent, body_scratch_);
+  send_to(agent, PolicyMsgType::kPolicyUpdate, next_seq_++, body_scratch_);
   agents_[agent].pushed_version = policies_[agent].version;
   ++stats_.pushes;
 }
 
-void PolicyServer::send_to(net::Ipv4Address agent, const PolicyMessage& msg) {
+void PolicyServer::send_to(net::Ipv4Address agent, PolicyMsgType type, std::uint64_t seq,
+                           std::string_view body) {
   auto sit = sessions_.find(agent);
   if (sit == sessions_.end()) return;
-  auto bytes = encode_policy_message(msg, key_);
-  stats_.push_bytes += msg.type == PolicyMsgType::kPolicyUpdate ? bytes.size() : 0;
+  // TcpConnection::send runs no application callback, so nothing reaches
+  // the server (and this buffer) before the call below returns.
+  auto& bytes = wire_scratch_;
+  bytes.clear();
+  encode_policy_message(type, seq, body, key_, bytes);
+  stats_.push_bytes += type == PolicyMsgType::kPolicyUpdate ? bytes.size() : 0;
   // TCP takes at most its free send-buffer space; whatever it refuses waits
   // in the session's outbound queue, so a large policy or a message behind
   // an undrained push reaches the agent whole.
   Session& session = *sit->second;
-  if (session.outbound.empty()) {
-    session.outbound = std::move(bytes);
+  auto& out = session.outbound;
+  std::span<const std::uint8_t> rest(bytes);
+  if (out.empty()) {
+    while (!rest.empty()) {
+      const std::size_t taken = session.conn->send(rest);
+      if (taken == 0) break;
+      rest = rest.subspan(taken);
+    }
+    out.assign(rest.begin(), rest.end());
   } else {
-    auto& out = session.outbound;
     out.erase(out.begin(), out.begin() + static_cast<long>(session.outbound_head));
     session.outbound_head = 0;
-    out.insert(out.end(), bytes.begin(), bytes.end());
+    out.insert(out.end(), rest.begin(), rest.end());
+    flush_outbound(session);
   }
-  flush_outbound(session);
 }
 
 void PolicyServer::flush_outbound(Session& session) {

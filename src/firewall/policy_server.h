@@ -11,7 +11,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/ipv4_address.h"
@@ -58,14 +60,17 @@ class PolicyServer {
   void start();
 
   // Sets the policy for an agent host; pushes immediately if connected.
-  void set_policy(net::Ipv4Address agent, std::string policy_text);
+  // Returns false, and changes nothing (the version included), when the
+  // policy's body would exceed kMaxPolicyBodyBytes.
+  bool set_policy(net::Ipv4Address agent, std::string policy_text);
 
   // Fleet fan-out: sets the same policy text for every listed agent (each
   // gets its own versioned entry and an immediate push when connected; the
   // entries share one copy of the text). Returns the number of pushes sent
-  // synchronously.
-  std::size_t set_policy_all(std::span<const net::Ipv4Address> agents,
-                             const std::string& policy_text);
+  // synchronously, or nullopt, with no agent changed, when the body would
+  // exceed kMaxPolicyBodyBytes for any of them.
+  std::optional<std::size_t> set_policy_all(std::span<const net::Ipv4Address> agents,
+                                            const std::string& policy_text);
 
   // Creates a VPG across a group of agent hosts: every member receives the
   // same group master key (the rule itself must be part of each host's
@@ -99,11 +104,15 @@ class PolicyServer {
  private:
   struct Session;
 
+  // Whether `policy_text` as the agent's next version fits in one message.
+  bool policy_fits(net::Ipv4Address agent, const std::string& policy_text) const;
   void set_shared_policy(net::Ipv4Address agent,
                          std::shared_ptr<const std::string> policy_text);
-  std::string render_policy_body(net::Ipv4Address agent);
+  // Replaces `body` with the agent's policy body.
+  void render_policy_body(net::Ipv4Address agent, std::string& body);
   void push_policy(net::Ipv4Address agent);
-  void send_to(net::Ipv4Address agent, const PolicyMessage& msg);
+  void send_to(net::Ipv4Address agent, PolicyMsgType type, std::uint64_t seq,
+               std::string_view body);
   static void flush_outbound(Session& session);
   void handle_message(Session& session, const PolicyMessage& msg);
 
@@ -122,6 +131,10 @@ class PolicyServer {
   std::vector<std::shared_ptr<Session>> pending_;  // connected, no hello yet
   std::uint64_t next_seq_ = 1;
   PolicyServerStats stats_;
+  // Kept across pushes: a fan-out to many agents renders and encodes each
+  // message in the same two buffers instead of allocating them per agent.
+  std::string body_scratch_;
+  std::vector<std::uint8_t> wire_scratch_;
 };
 
 }  // namespace barb::firewall

@@ -55,6 +55,11 @@ class RuleSet {
 
   std::string to_string() const;
 
+  // Heap bytes held by this rule-set, the object itself included.
+  std::size_t memory_bytes() const {
+    return sizeof(RuleSet) + rules_.capacity() * sizeof(Rule);
+  }
+
  private:
   std::vector<Rule> rules_;
   RuleAction default_action_ = RuleAction::kDeny;

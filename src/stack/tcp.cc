@@ -62,14 +62,27 @@ void TcpConnection::reset_callbacks() {
 
 std::size_t TcpConnection::unsent_bytes() const {
   const std::uint32_t data_end =
-      send_buf_seq_ + static_cast<std::uint32_t>(send_buf_.size());
+      send_buf_seq_ + static_cast<std::uint32_t>(buffered_bytes());
   if (seq_ge(snd_nxt_, data_end)) return 0;
   return data_end - snd_nxt_;
 }
 
+void TcpConnection::drop_acked(std::size_t n) {
+  send_head_ += n;
+  if (send_head_ == send_buf_.size()) {
+    send_buf_ = {};  // all acked: give the storage back
+    send_head_ = 0;
+  } else if (send_head_ >= send_buf_.size() - send_head_) {
+    // The acked prefix is at least as long as what remains, so each byte is
+    // moved O(1) times on average.
+    send_buf_.erase(send_buf_.begin(), send_buf_.begin() + static_cast<long>(send_head_));
+    send_head_ = 0;
+  }
+}
+
 std::size_t TcpConnection::send_space() const {
   if (fin_queued_ || state_ == TcpState::kClosed) return 0;
-  return cfg_.send_buffer_cap - std::min(cfg_.send_buffer_cap, send_buf_.size());
+  return cfg_.send_buffer_cap - std::min(cfg_.send_buffer_cap, buffered_bytes());
 }
 
 std::size_t TcpConnection::send(std::span<const std::uint8_t> data) {
@@ -311,11 +324,11 @@ void TcpConnection::process_ack(const net::TcpHeader& h) {
   }
 
   const std::uint32_t data_end =
-      send_buf_seq_ + static_cast<std::uint32_t>(send_buf_.size());
+      send_buf_seq_ + static_cast<std::uint32_t>(buffered_bytes());
   const std::uint32_t acked_data_end = seq_lt(ack, data_end) ? ack : data_end;
   if (seq_gt(acked_data_end, send_buf_seq_)) {
     const std::size_t n = acked_data_end - send_buf_seq_;
-    send_buf_.erase(send_buf_.begin(), send_buf_.begin() + static_cast<long>(n));
+    drop_acked(n);
     send_buf_seq_ = acked_data_end;
     stats_.bytes_acked += n;
   }
@@ -475,13 +488,10 @@ void TcpConnection::output() {
         {unsent_bytes(), mss_,
          static_cast<std::size_t>(std::max(0.0, window - in_flight))});
     if (n == 0) break;
-    const std::uint32_t offset = snd_nxt_ - send_buf_seq_;
-    std::vector<std::uint8_t> chunk(send_buf_.begin() + offset,
-                                    send_buf_.begin() + offset + static_cast<long>(n));
     std::uint8_t flags = TcpFlags::kAck;
     if (n == unsent_bytes()) flags |= TcpFlags::kPsh;
     const bool is_rtx = seq_lt(snd_nxt_, snd_max_);
-    emit(flags, snd_nxt_, chunk, is_rtx);
+    emit(flags, snd_nxt_, buffered(snd_nxt_, n), is_rtx);
     snd_nxt_ += static_cast<std::uint32_t>(n);
     if (!is_rtx) stats_.bytes_sent += n;
     if (seq_gt(snd_nxt_, snd_max_)) snd_max_ = snd_nxt_;
@@ -541,7 +551,7 @@ void TcpConnection::schedule_delayed_ack() {
 
 void TcpConnection::retransmit_head() {
   const std::uint32_t data_end =
-      send_buf_seq_ + static_cast<std::uint32_t>(send_buf_.size());
+      send_buf_seq_ + static_cast<std::uint32_t>(buffered_bytes());
   if (fin_sent_ && snd_una_ == fin_seq_) {
     emit(TcpFlags::kFin | TcpFlags::kAck, fin_seq_, {}, /*retransmission=*/true);
     return;
@@ -549,10 +559,7 @@ void TcpConnection::retransmit_head() {
   if (seq_ge(snd_una_, data_end)) return;  // nothing to retransmit
   const std::size_t n =
       std::min<std::size_t>(mss_, data_end - snd_una_);
-  const std::uint32_t offset = snd_una_ - send_buf_seq_;
-  std::vector<std::uint8_t> chunk(send_buf_.begin() + offset,
-                                  send_buf_.begin() + offset + static_cast<long>(n));
-  emit(TcpFlags::kAck, snd_una_, chunk, /*retransmission=*/true);
+  emit(TcpFlags::kAck, snd_una_, buffered(snd_una_, n), /*retransmission=*/true);
 }
 
 void TcpConnection::arm_rtx_timer() {
@@ -675,6 +682,9 @@ TcpConfig TcpLayer::make_config() const {
   return cfg;
 }
 
+// `payload` may view the connection's send buffer. It is copied into the
+// segment before send_ip, the only call here that can reach back into the
+// stack, so nothing can move the buffer while the span is read.
 void TcpLayer::send_segment(const net::FiveTuple& key, net::TcpHeader header,
                             std::span<const std::uint8_t> payload) {
   header.src_port = key.src_port;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -163,21 +162,32 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   std::uint32_t flight_size() const { return snd_nxt_ - snd_una_; }
   std::size_t unsent_bytes() const;
+  // Payload bytes held (sent-unacked plus unsent).
+  std::size_t buffered_bytes() const { return send_buf_.size() - send_head_; }
+  // `n` buffered bytes starting at sequence `seq`.
+  std::span<const std::uint8_t> buffered(std::uint32_t seq, std::size_t n) const {
+    return std::span(send_buf_).subspan(send_head_ + (seq - send_buf_seq_), n);
+  }
+  void drop_acked(std::size_t n);
 
   TcpLayer& layer_;
   net::FiveTuple key_;
   TcpConfig cfg_;
   TcpState state_ = TcpState::kClosed;
 
-  // Send side. send_buf_ holds payload bytes starting at sequence
-  // send_buf_seq_ (== snd_una_ once established, unless a FIN is in flight).
+  // Send side. The unacked and unsent payload is send_buf_[send_head_, end),
+  // starting at sequence send_buf_seq_ (== snd_una_ once established, unless
+  // a FIN is in flight). Contiguous, so a segment's payload is a span into
+  // it; acked bytes before send_head_ are compacted away once they are at
+  // least half the buffer, and the storage is released when all is acked.
   std::uint32_t iss_ = 0;
   std::uint32_t snd_una_ = 0;
   std::uint32_t snd_nxt_ = 0;
   std::uint32_t snd_max_ = 0;  // highest sequence ever sent (for go-back-N)
   std::uint32_t snd_wnd_ = 0;
   std::uint32_t send_buf_seq_ = 0;
-  std::deque<std::uint8_t> send_buf_;
+  std::vector<std::uint8_t> send_buf_;
+  std::size_t send_head_ = 0;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/ping.h"
 #include "core/testbed.h"
@@ -137,6 +139,30 @@ TEST(TopologyBuilder, MemoryAuditCoversEveryHost) {
   auto fabric_small = build_leaf_spine(sim_small, small);
   EXPECT_EQ(audit.arp_private_bytes / 64,
             fabric_small->memory_audit().arp_private_bytes / 16);
+}
+
+TEST(TopologyBuilder, MemoryAuditCountsASharedRuleSetOnce) {
+  LeafSpineSpec spec;
+  spec.hosts = 1024;
+  spec.default_nic.kind = FirewallKind::kEfw;
+  sim::Simulation sim(1);
+  auto fabric = build_leaf_spine(sim, spec);
+
+  std::vector<firewall::Rule> rules(5000);
+  const auto shared = std::make_shared<const firewall::RuleSet>(rules);
+  for (int i = 0; i < fabric->num_hosts(); ++i) fabric->firewall(i)->install_rule_set(shared);
+  const MemoryAudit audit = fabric->memory_audit();
+  EXPECT_EQ(audit.rule_set_bytes, shared->memory_bytes());
+  EXPECT_GE(audit.rule_set_bytes, 5000 * sizeof(firewall::Rule));
+  EXPECT_EQ(audit.flow_cache_bytes, 0u);  // caches allocate on first insert
+  EXPECT_EQ(audit.total_bytes(),
+            audit.directory_bytes + audit.arp_private_bytes + audit.switch_fib_bytes +
+                audit.flow_state_bytes + audit.flow_cache_bytes + audit.rule_set_bytes +
+                audit.host_object_bytes);
+
+  // Private copies of the same rules count once per card.
+  for (int i = 0; i < 4; ++i) fabric->firewall(i)->install_rule_set(firewall::RuleSet(rules));
+  EXPECT_EQ(fabric->memory_audit().rule_set_bytes, 5 * shared->memory_bytes());
 }
 
 TEST(TopologyBuilder, PerHostNicProfilesApply) {

@@ -60,7 +60,9 @@ TEST(ChaCha20, XorStreamIsItsOwnInverse) {
     for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
     const auto original = data;
     ChaCha20::xor_stream(test_key(), nonce, 7, data);
-    if (len > 0) EXPECT_NE(data, original) << "len=" << len;
+    if (len > 0) {
+      EXPECT_NE(data, original) << "len=" << len;
+    }
     ChaCha20::xor_stream(test_key(), nonce, 7, data);
     EXPECT_EQ(data, original) << "len=" << len;
   }

@@ -214,6 +214,26 @@ std::string installed_form(const std::string& text) {
   return parsed.ok() ? parsed.rule_set->to_string() : "unparsable";
 }
 
+// The agent strips a version line wherever it sits in the body. One in
+// the middle of the text splits the kept lines, which are then parsed from
+// a copy instead of in place; the rules are the same either way.
+TEST(PolicyDistribution, VersionLineInsideThePolicyTextIsStripped) {
+  sim::Simulation sim(1);
+  Testbed tb(sim, managed_config(FirewallKind::kEfw));
+  tb.settle();
+
+  tb.policy_server()->set_policy(tb.addresses().target,
+                                 "default deny\nversion 2\nallow tcp from any to any\n"
+                                 "deny udp from any to any port 53\n");
+  sim.run_for(sim::Duration::milliseconds(200));
+
+  EXPECT_EQ(tb.target_agent()->stats().policy_errors, 0u);
+  EXPECT_EQ(tb.target_agent()->stats().last_version, 2u);
+  EXPECT_EQ(tb.target_firewall()->rule_set().to_string(),
+            installed_form("default deny\nallow tcp from any to any\n"
+                           "deny udp from any to any port 53\n"));
+}
+
 // Larger than the server connection's 256 KiB TCP send buffer: the part
 // TCP refuses at first must still follow, or the agent's MAC check fails.
 TEST(PolicyDistribution, PolicyLargerThanSendBufferArrivesWhole) {
@@ -230,6 +250,63 @@ TEST(PolicyDistribution, PolicyLargerThanSendBufferArrivesWhole) {
   EXPECT_EQ(tb.policy_server()->agents().at(tb.addresses().target).acked_version, 2u);
   EXPECT_EQ(tb.target_firewall()->rule_set().to_string(), installed_form(text));
   EXPECT_EQ(tb.policy_server()->stats().corrupted_streams, 0u);
+}
+
+// Text that renders to a body of exactly `body_bytes` at `version`.
+std::string policy_with_body_size(std::size_t body_bytes, std::uint64_t version) {
+  std::string text = "default deny\nallow tcp from any to any\n";
+  const std::size_t want = body_bytes - ("version " + std::to_string(version) + "\n").size();
+  const std::string pad = "# padding padding padding padding padding padding\n";
+  while (text.size() + pad.size() + 2 <= want) text += pad;
+  text += "#" + std::string(want - text.size() - 2, 'p') + "\n";
+  return text;
+}
+
+// The body bound is one constant on both sides: the server refuses what a
+// reader would reject, so an oversized policy fails once, at set_policy,
+// instead of looping through push, abort and reconnect.
+TEST(PolicyDistribution, OversizedPolicyIsRefusedNotLooped) {
+  sim::Simulation sim(1);
+  Testbed tb(sim, managed_config(FirewallKind::kEfw));
+  tb.settle();
+  PolicyServer& server = *tb.policy_server();
+  const net::Ipv4Address target = tb.addresses().target;
+  const std::uint64_t pushes = server.stats().pushes;
+  ASSERT_EQ(server.policy_version(target), 1u);
+
+  const std::string text = policy_with_body_size(1100 * 1024, 2);
+  EXPECT_FALSE(server.set_policy(target, text));
+  const net::Ipv4Address one[] = {target};
+  EXPECT_FALSE(server.set_policy_all(one, text).has_value());
+  EXPECT_EQ(server.policy_version(target), 1u);
+
+  sim.run_for(sim::Duration::seconds(30));
+  EXPECT_EQ(server.stats().pushes, pushes);
+  EXPECT_EQ(server.stats().corrupted_streams, 0u);
+  EXPECT_EQ(tb.target_agent()->stats().last_version, 1u);
+  EXPECT_EQ(tb.target_agent()->stats().reconnects, 0u);
+  EXPECT_EQ(server.agents().at(target).acked_version, 1u);
+}
+
+TEST(PolicyDistribution, PolicyAtTheBodyBoundIsDelivered) {
+  sim::Simulation sim(1);
+  Testbed tb(sim, managed_config(FirewallKind::kEfw));
+  tb.settle();
+  PolicyServer& server = *tb.policy_server();
+  const net::Ipv4Address target = tb.addresses().target;
+  const std::uint64_t push_bytes = server.stats().push_bytes;
+
+  EXPECT_FALSE(server.set_policy(target, policy_with_body_size(kMaxPolicyBodyBytes + 1, 2)));
+  const std::string text = policy_with_body_size(kMaxPolicyBodyBytes, 2);
+  ASSERT_TRUE(server.set_policy(target, text));
+  sim.run_for(sim::Duration::seconds(3));
+
+  // One message: 18-byte header, the body, the MAC.
+  EXPECT_EQ(server.stats().push_bytes - push_bytes, 18 + kMaxPolicyBodyBytes + kPolicyMacSize);
+  EXPECT_EQ(tb.target_agent()->stats().last_version, 2u);
+  EXPECT_EQ(tb.target_agent()->stats().reconnects, 0u);
+  EXPECT_EQ(server.agents().at(target).acked_version, 2u);
+  EXPECT_EQ(tb.target_firewall()->rule_set().to_string(), installed_form(text));
 }
 
 // A second push queued behind one TCP has not drained yet.

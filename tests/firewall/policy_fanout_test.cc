@@ -3,10 +3,16 @@
 // the opt-in "policy.*" metrics.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <latch>
 #include <memory>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/topology.h"
+#include "firewall/policy.h"
 #include "firewall/policy_agent.h"
 #include "firewall/policy_server.h"
 #include "telemetry/registry.h"
@@ -80,11 +86,12 @@ TEST(PolicyFanout, RePushAdvancesEveryAgentVersion) {
   // A fleet-wide re-push: every connected session gets a synchronous push.
   // The new policy must keep management TCP open — a bare "default deny"
   // would firewall the agent's own ack path (the paper's self-cutoff).
-  const std::size_t pushed = fleet.server->set_policy_all(
+  const std::optional<std::size_t> pushed = fleet.server->set_policy_all(
       fleet.agent_ips,
       "default deny\nallow tcp from any to any\n"
       "allow udp from any to any port 53\n");
-  EXPECT_EQ(pushed, 8u);
+  ASSERT_TRUE(pushed.has_value());
+  EXPECT_EQ(*pushed, 8u);
   fleet.sim.run_for(sim::Duration::seconds(2));
   EXPECT_EQ(fleet.server->count_acked_at_least(2), 8u);
   for (const auto& agent : fleet.agents) {
@@ -151,6 +158,93 @@ TEST(PolicyFanout, StaggeredStartDelaysFirstConnect) {
   EXPECT_EQ(fleet.server->count_connected(), 0u);
   fleet.sim.run_for(sim::Duration::seconds(1));
   EXPECT_EQ(fleet.server->count_connected(), 3u);
+}
+
+// Agents share one immutable parse of identical policy text.
+
+constexpr const char* kSharedText =
+    "default deny\nallow tcp from any to any\nallow udp from any to any port 53\n";
+
+TEST(PolicyFanout, SameTextSharesOneRuleSet) {
+  const std::size_t before = shared_policy_count();
+  Fleet fleet(6);
+  fleet.server->set_policy_all(fleet.agent_ips, kSharedText);
+  fleet.sim.run_for(sim::Duration::seconds(2));
+  ASSERT_EQ(fleet.server->count_acked_at_least(1), 6u);
+
+  const RuleSet* shared = &fleet.fabric->firewall(1)->rule_set();
+  for (int i = 1; i <= 6; ++i) {
+    EXPECT_EQ(&fleet.fabric->firewall(i)->rule_set(), shared) << "agent " << i;
+  }
+  EXPECT_EQ(shared_policy_count(), before + 1);
+  EXPECT_EQ(shared->size(), 2u);
+}
+
+TEST(PolicyFanout, RePushToOneAgentLeavesTheOthersUntouched) {
+  Fleet fleet(4);
+  fleet.server->set_policy_all(fleet.agent_ips, kSharedText);
+  fleet.sim.run_for(sim::Duration::seconds(2));
+  ASSERT_EQ(fleet.server->count_acked_at_least(1), 4u);
+  const RuleSet* shared = &fleet.fabric->firewall(1)->rule_set();
+  const std::string shared_form = shared->to_string();
+
+  const std::string other = "default deny\nallow tcp from any to any\n";
+  ASSERT_TRUE(fleet.server->set_policy(fleet.agent_ips[0], other));
+  fleet.sim.run_for(sim::Duration::seconds(1));
+
+  EXPECT_EQ(fleet.agents[0]->stats().last_version, 2u);
+  EXPECT_NE(&fleet.fabric->firewall(1)->rule_set(), shared);
+  EXPECT_EQ(fleet.fabric->firewall(1)->rule_set().to_string(),
+            parse_policy(other).rule_set->to_string());
+  for (int i = 2; i <= 4; ++i) {
+    EXPECT_EQ(fleet.agents[static_cast<std::size_t>(i - 1)]->stats().last_version, 1u);
+    EXPECT_EQ(&fleet.fabric->firewall(i)->rule_set(), shared);
+    EXPECT_EQ(fleet.fabric->firewall(i)->rule_set().to_string(), shared_form);
+  }
+}
+
+TEST(PolicyFanout, TableEntryGoesWithTheLastCard) {
+  const std::size_t before = shared_policy_count();
+  {
+    Fleet fleet(3);
+    fleet.server->set_policy_all(fleet.agent_ips, kSharedText);
+    fleet.sim.run_for(sim::Duration::seconds(2));
+    ASSERT_EQ(fleet.server->count_acked_at_least(1), 3u);
+    EXPECT_EQ(shared_policy_count(), before + 1);
+
+    // Every card moves to another policy: the first one's entry goes.
+    fleet.server->set_policy_all(fleet.agent_ips, "default deny\nallow tcp from any to any\n");
+    fleet.sim.run_for(sim::Duration::seconds(1));
+    ASSERT_EQ(fleet.server->count_acked_at_least(2), 3u);
+    EXPECT_EQ(shared_policy_count(), before + 1);
+  }
+  // The fleet is gone, and with it the last holder of the second policy.
+  EXPECT_EQ(shared_policy_count(), before);
+}
+
+// Sweep workers run simulations on several threads; both fleets below push
+// the same text through the one process-wide table (the TSan lane runs this).
+TEST(PolicyFanout, TwoSimulationsOnTwoThreadsShareTheTable) {
+  const std::size_t before = shared_policy_count();
+  std::array<const RuleSet*, 2> installed{};
+  std::array<std::size_t, 2> acked{};
+  std::latch both_pushed(2);
+  auto run = [&](std::size_t k) {
+    Fleet fleet(4);
+    fleet.server->set_policy_all(fleet.agent_ips, kSharedText);
+    fleet.sim.run_for(sim::Duration::seconds(2));
+    acked[k] = fleet.server->count_acked_at_least(1);
+    installed[k] = &fleet.fabric->firewall(1)->rule_set();
+    both_pushed.arrive_and_wait();  // keep this fleet's holders alive until both pushed
+  };
+  std::thread t0(run, 0);
+  std::thread t1(run, 1);
+  t0.join();
+  t1.join();
+  EXPECT_EQ(acked[0], 4u);
+  EXPECT_EQ(acked[1], 4u);
+  EXPECT_EQ(installed[0], installed[1]);
+  EXPECT_EQ(shared_policy_count(), before);
 }
 
 }  // namespace

@@ -40,6 +40,25 @@ TEST(PolicyProtocol, EmptyBodyMessage) {
   EXPECT_TRUE(decoded->body.empty());
 }
 
+// The appending encoder writes the same frame as the returning one, after
+// whatever the buffer already holds, so one buffer can serve every message.
+TEST(PolicyProtocol, EncodeAppendsToACallerBuffer) {
+  const PolicyMessage m1{PolicyMsgType::kPolicyUpdate, 5, "version 2\ndefault deny\n"};
+  const PolicyMessage m2{PolicyMsgType::kRestart, 6, ""};
+  auto want = encode_policy_message(m1, key());
+  const auto w2 = encode_policy_message(m2, key());
+  want.insert(want.end(), w2.begin(), w2.end());
+
+  std::vector<std::uint8_t> buf;
+  encode_policy_message(m1.type, m1.seq, m1.body, key(), buf);
+  encode_policy_message(m2.type, m2.seq, m2.body, key(), buf);
+  EXPECT_EQ(buf, want);
+
+  buf.clear();
+  encode_policy_message(m2.type, m2.seq, m2.body, key(), buf);
+  EXPECT_EQ(buf, w2);
+}
+
 TEST(PolicyProtocol, StreamReassemblyAcrossArbitrarySplits) {
   PolicyMessage m1{PolicyMsgType::kHello, 1, "host 10.0.0.40"};
   PolicyMessage m2{PolicyMsgType::kHeartbeat, 2, "status ok processed 100"};

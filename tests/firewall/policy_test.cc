@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace barb::firewall {
 namespace {
 
@@ -147,6 +149,57 @@ TEST(PolicyRoundTrip, SerializeParseIsIdentity) {
   }
   // Serialization is a fixed point after one round.
   EXPECT_EQ(second.rule_set->to_string(), serialized);
+}
+
+// parse_policy_shared: the content-addressed table behind the agents.
+
+TEST(SharedPolicy, IdenticalTextSharesOneRuleSet) {
+  const std::size_t before = shared_policy_count();
+  const std::string text = "default deny\nallow tcp from any to any port 80\n";
+  const auto a = parse_policy_shared(text);
+  const auto b = parse_policy_shared(std::string(text.begin(), text.end()));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a.rule_set.get(), b.rule_set.get());
+  EXPECT_EQ(shared_policy_count(), before + 1);
+  EXPECT_EQ(a.rule_set->to_string(), parse_policy(text).rule_set->to_string());
+}
+
+TEST(SharedPolicy, HitNeedsEveryByteToMatch) {
+  // Same rules, different bytes: two entries, two rule-sets.
+  const auto a = parse_policy_shared("default deny\nallow tcp from any to any\n");
+  const auto b = parse_policy_shared("default deny\nallow tcp from any to any \n");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(a.rule_set.get(), b.rule_set.get());
+  EXPECT_EQ(a.rule_set->to_string(), b.rule_set->to_string());
+}
+
+TEST(SharedPolicy, EntryLivesAsLongAsItsLastHolder) {
+  const std::size_t before = shared_policy_count();
+  const std::string text = "default allow\ndeny udp from any to any port 9\n";
+  auto a = parse_policy_shared(text).rule_set;
+  auto b = parse_policy_shared(text).rule_set;
+  EXPECT_EQ(shared_policy_count(), before + 1);
+  a.reset();
+  EXPECT_EQ(shared_policy_count(), before + 1);
+  b.reset();
+  EXPECT_EQ(shared_policy_count(), before);
+  // After expiry the same text parses into a fresh entry.
+  const auto c = parse_policy_shared(text);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(shared_policy_count(), before + 1);
+}
+
+TEST(SharedPolicy, ParseErrorsAreNotCached) {
+  const std::size_t before = shared_policy_count();
+  for (int i = 0; i < 2; ++i) {
+    const auto r = parse_policy_shared("default deny\nallow quic from any to any\n");
+    EXPECT_FALSE(r.ok());
+    ASSERT_TRUE(r.error.has_value());
+    EXPECT_EQ(r.error->line, 2);
+    EXPECT_EQ(shared_policy_count(), before);
+  }
 }
 
 }  // namespace
