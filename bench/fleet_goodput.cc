@@ -1,6 +1,6 @@
 // Fleet-scale headline bench: aggregate goodput and per-victim flood
 // tolerance versus fleet size on a leaf-spine fabric, with a per-host memory
-// footprint audit and a batched-vs-per-frame delivery engine comparison.
+// footprint audit and the scheduler event count.
 //
 // This is the ROADMAP item 2 experiment: the paper's per-host enforcement
 // argument (Figure 3) replayed at fleet scale. Every host carries an EFW
@@ -13,8 +13,8 @@
 // Not a paper figure, but the artifact honours the repo-wide rule: JSON and
 // CSV are byte-identical across --jobs and across runs at the same seed, so
 // only deterministic quantities go in (simulated goodput, memory audit,
-// scheduler event *counts* and their ratio). Wall-clock measurements — which
-// vary run to run — print to stderr, like run_sweep's timings.
+// scheduler event *counts*). Wall-clock measurements — which vary run to
+// run — print to stderr, like run_sweep's timings.
 #include <cstdint>
 #include <cstdio>
 #include <chrono>
@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "core/topology.h"
 #include "firewall/policy.h"
-#include "stack/arp_table.h"
 #include "util/assert.h"
 
 namespace {
@@ -57,7 +56,6 @@ struct FleetResult {
   std::uint64_t events_executed = 0;
   double wall_s = 0.0;
   std::size_t mem_per_host = 0;
-  std::size_t mem_directory = 0;
   std::uint64_t fib_evictions = 0;
 };
 
@@ -68,15 +66,13 @@ constexpr double kPairRateBps = 4e6;
 constexpr double kFloodPps = 8000.0;
 constexpr std::uint16_t kFloodPort = 7777;
 
-FleetResult run_fleet(int hosts, std::uint64_t seed, bool batched,
-                      sim::Duration window) {
+FleetResult run_fleet(int hosts, std::uint64_t seed, sim::Duration window) {
   sim::Simulation sim(seed);
 
   core::LeafSpineSpec spec;
   spec.hosts = hosts;
   spec.hosts_per_leaf = 16;
   spec.spines = 2;
-  spec.batched_links = batched;
   // ADF cards fleet-wide: the flood-tolerant model (an EFW fleet would
   // reproduce the deny-flood lockup and flatline the victims — see fig3b).
   spec.nic_for = [](int index) {
@@ -171,22 +167,10 @@ FleetResult run_fleet(int hosts, std::uint64_t seed, bool batched,
 
   const auto audit = fabric->memory_audit();
   out.mem_per_host = audit.per_host_bytes();
-  out.mem_directory = audit.directory_bytes;
   for (int s = 0; s < fabric->num_switches(); ++s) {
     out.fib_evictions += fabric->fabric_switch(s).stats().fib_evictions;
   }
   return out;
-}
-
-// What the same fleet's address resolution would cost per host with the
-// legacy full-mesh per-host ARP maps (measured on a real ArpTable populated
-// with N-1 bindings, not a back-of-envelope guess).
-std::size_t fullmesh_arp_bytes_per_host(int hosts) {
-  stack::ArpTable table;
-  for (int i = 1; i < hosts; ++i) {
-    table.add(core::fleet_ip(i), core::fleet_mac(i));
-  }
-  return table.memory_bytes();
 }
 
 }  // namespace
@@ -207,15 +191,10 @@ int main(int argc, char** argv) {
                                               : std::vector<int>{64, 256, 512, 1024};
 
   auto runner = bench::make_runner(argc, argv, opt);
-  std::vector<std::function<std::pair<FleetResult, FleetResult>(const core::SweepPoint&)>>
-      tasks;
+  std::vector<std::function<FleetResult(const core::SweepPoint&)>> tasks;
   for (const int n : sizes) {
     tasks.push_back([n, window](const core::SweepPoint& point) {
-      // Same seed through both engines: the simulated results must agree
-      // byte-for-byte; only the wall-clock/events-rate columns may differ.
-      FleetResult batched = run_fleet(n, point.seed, /*batched=*/true, window);
-      FleetResult perframe = run_fleet(n, point.seed, /*batched=*/false, window);
-      return std::make_pair(batched, perframe);
+      return run_fleet(n, point.seed, window);
     });
   }
   const auto results = bench::run_sweep(runner, "fleet_goodput", std::move(tasks));
@@ -227,70 +206,29 @@ int main(int argc, char** argv) {
   artifact.set_meta("pair_rate_mbps", kPairRateBps / 1e6);
 
   TextTable table({"Hosts", "Pairs", "Aggregate (Mbps)", "Victim (Mbps)",
-                   "Clean (Mbps)", "KiB/host", "KiB/host full-mesh",
-                   "Events batched", "Events per-frame"});
-  bool identical = true;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const FleetResult& b = results[i].first;
-    const FleetResult& p = results[i].second;
-    if (b.aggregate_mbps != p.aggregate_mbps || b.victim_mbps != p.victim_mbps ||
-        b.events_executed == 0) {
-      // events differ by design (that is the point); goodput must not.
-      if (b.aggregate_mbps != p.aggregate_mbps || b.victim_mbps != p.victim_mbps) {
-        identical = false;
-      }
-    }
-    const double x = static_cast<double>(b.hosts);
-    const std::size_t fullmesh =
-        fullmesh_arp_bytes_per_host(b.hosts) + b.mem_per_host -
-        (b.mem_directory / static_cast<std::size_t>(b.hosts));
-    // The engine comparison's deterministic half: a batched event delivers a
-    // whole busy-period quantum, so batched runs execute fewer (bigger)
-    // events for the same simulated work. The event counts and their ratio
-    // are exact per seed; wall-clock goes to stderr below.
-    const double reduction =
-        b.events_executed > 0
-            ? static_cast<double>(p.events_executed) /
-                  static_cast<double>(b.events_executed)
-            : 0;
-    table.add_row({fmt_int(x), fmt_int(b.pairs), fmt(b.aggregate_mbps),
-                   fmt(b.victim_mbps, 2), fmt(b.clean_mbps, 2),
-                   fmt(static_cast<double>(b.mem_per_host) / 1024.0),
-                   fmt(static_cast<double>(fullmesh) / 1024.0),
-                   fmt_int(static_cast<double>(b.events_executed)),
-                   fmt_int(static_cast<double>(p.events_executed))});
+                   "Clean (Mbps)", "KiB/host", "Events"});
+  for (const FleetResult& r : results) {
+    const double x = static_cast<double>(r.hosts);
+    table.add_row({fmt_int(x), fmt_int(r.pairs), fmt(r.aggregate_mbps),
+                   fmt(r.victim_mbps, 2), fmt(r.clean_mbps, 2),
+                   fmt(static_cast<double>(r.mem_per_host) / 1024.0),
+                   fmt_int(static_cast<double>(r.events_executed))});
 
-    artifact.add_point("aggregate_goodput_mbps", x, b.aggregate_mbps);
-    artifact.add_point("victim_goodput_mbps", x, b.victim_mbps);
-    artifact.add_point("clean_goodput_mbps", x, b.clean_mbps);
-    artifact.add_point("pairs_completed", x, static_cast<double>(b.pairs_completed));
-    artifact.add_point("mem_per_host_bytes", x, static_cast<double>(b.mem_per_host));
-    artifact.add_point("mem_per_host_fullmesh_bytes", x, static_cast<double>(fullmesh));
-    artifact.add_point("events_batched", x, static_cast<double>(b.events_executed));
-    artifact.add_point("events_perframe", x, static_cast<double>(p.events_executed));
-    artifact.add_point("batched_event_reduction", x, reduction);
-    artifact.add_point("fib_evictions", x, static_cast<double>(b.fib_evictions));
+    artifact.add_point("aggregate_goodput_mbps", x, r.aggregate_mbps);
+    artifact.add_point("victim_goodput_mbps", x, r.victim_mbps);
+    artifact.add_point("clean_goodput_mbps", x, r.clean_mbps);
+    artifact.add_point("pairs_completed", x, static_cast<double>(r.pairs_completed));
+    artifact.add_point("mem_per_host_bytes", x, static_cast<double>(r.mem_per_host));
+    artifact.add_point("events_executed", x, static_cast<double>(r.events_executed));
+    artifact.add_point("fib_evictions", x, static_cast<double>(r.fib_evictions));
   }
   std::printf("%s\n", table.to_string().c_str());
-  for (const auto& [b, p] : results) {
-    std::fprintf(
-        stderr,
-        "hosts=%d: batched %llu events / %.2fs vs per-frame %llu events / "
-        "%.2fs -> wall speedup %.2fx\n",
-        b.hosts, static_cast<unsigned long long>(b.events_executed), b.wall_s,
-        static_cast<unsigned long long>(p.events_executed), p.wall_s,
-        b.wall_s > 0 ? p.wall_s / b.wall_s : 0.0);
+  for (const FleetResult& r : results) {
+    std::fprintf(stderr, "hosts=%d: %llu events / %.2fs\n", r.hosts,
+                 static_cast<unsigned long long>(r.events_executed), r.wall_s);
   }
   std::printf("\n");
   bench::maybe_write_csv("fleet_goodput", table);
   bench::write_artifact(artifact);
-
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: batched and per-frame delivery disagree on simulated "
-                 "goodput (engines must be behaviour-identical)\n");
-    return 1;
-  }
-  std::printf("PASS: batched == per-frame simulated goodput at every size\n");
   return 0;
 }

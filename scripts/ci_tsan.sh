@@ -7,7 +7,7 @@
 # them on pool threads — TSan proves they really are shared-nothing).
 # The fleet bench then runs at --jobs 4: each sweep task builds a full
 # multi-switch fabric (TopologyBuilder, shared AddressDirectory, bounded
-# FIBs) and drives batched-link simulations on a pool thread, proving the
+# FIBs) and drives its link simulations on a pool thread, proving the
 # fleet-scale path is shared-nothing too. The PolicyFanout suite covers the
 # one thing simulations do share: the process-wide table of parsed policies
 # (parse_policy_shared), which two simulations on two threads push into.

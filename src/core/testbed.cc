@@ -100,13 +100,10 @@ void Testbed::build_hosts() {
   // than the real testbed did.
   link::LinkConfig link_cfg;
   link_cfg.queue_bytes = 768 * 1024;
-  link_cfg.batched = link::batch_delivery_enabled(config_.batched_links);
 
   TopologyBuilder builder(sim_);
-  // The preset keeps the legacy full-mesh ARP installation and the default
-  // learning switch (byte-identity with the wiring it replaced); fleet
-  // fabrics use the shared directory and preloaded FIBs instead.
-  builder.set_shared_arp(false);
+  // The preset keeps the default learning switch (byte-identity with the
+  // wiring it replaced); fleet fabrics preload FIBs instead.
   const int sw = builder.add_switch("switch");
 
   // Policy server host (the testbed's Windows 2000 box) and attacker use

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
@@ -197,21 +198,11 @@ std::unique_ptr<Fabric> TopologyBuilder::build() {
   built_ = true;
   Fabric& f = *fabric_;
 
-  // Address resolution.
-  if (shared_arp_) {
-    f.directory_ = std::make_shared<stack::AddressDirectory>();
-    for (const auto& h : f.hosts_) f.directory_->add(h->ip(), h->mac());
-    f.directory_->freeze();
-    for (const auto& h : f.hosts_) h->arp().set_directory(f.directory_.get());
-  } else {
-    // Legacy full-mesh installation (the 4-host preset's byte-identical
-    // path): every host gets every other host's binding privately.
-    for (const auto& h1 : f.hosts_) {
-      for (const auto& h2 : f.hosts_) {
-        if (h1 != h2) h1->arp().add(h2->ip(), h2->mac());
-      }
-    }
-  }
+  // Address resolution through one shared, frozen directory.
+  f.directory_ = std::make_shared<stack::AddressDirectory>();
+  for (const auto& h : f.hosts_) f.directory_->add(h->ip(), h->mac());
+  f.directory_->freeze();
+  for (const auto& h : f.hosts_) h->arp().set_directory(f.directory_.get());
 
   if (!static_routes_) return std::move(fabric_);
 
@@ -313,11 +304,12 @@ HostSpec fleet_host_spec(const std::string& prefix, int index, NicSpec nic) {
 std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
                                          const LeafSpineSpec& spec) {
   BARB_ASSERT(spec.hosts >= 1 && spec.hosts_per_leaf >= 1 && spec.spines >= 1);
+  if (!spec.batched_links) {
+    throw std::invalid_argument(
+        "LeafSpineSpec::batched_links = false: only the batched link-delivery "
+        "engine exists");
+  }
   const int leaves = (spec.hosts + spec.hosts_per_leaf - 1) / spec.hosts_per_leaf;
-
-  link::LinkConfig access = spec.access_link;
-  link::LinkConfig trunk = spec.trunk_link;
-  access.batched = trunk.batched = link::batch_delivery_enabled(spec.batched_links);
 
   TopologyBuilder builder(sim);
   builder.enable_static_routes();
@@ -329,12 +321,12 @@ std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
   int host_index = 0;
   for (int l = 0; l < leaves; ++l) {
     const int leaf = builder.add_switch("leaf" + std::to_string(l), sw_cfg);
-    for (const int spine : spines) builder.connect_switches(leaf, spine, trunk);
+    for (const int spine : spines) builder.connect_switches(leaf, spine, spec.trunk_link);
     for (int i = 0; i < spec.hosts_per_leaf && host_index < spec.hosts; ++i) {
       const NicSpec nic =
           spec.nic_for ? spec.nic_for(host_index) : spec.default_nic;
       builder.add_host(fleet_host_spec(spec.name_prefix, host_index, nic), leaf,
-                       access);
+                       spec.access_link);
       ++host_index;
     }
   }
@@ -346,10 +338,6 @@ std::unique_ptr<Fabric> build_campus_tree(sim::Simulation& sim,
   BARB_ASSERT(spec.hosts >= 1 && spec.hosts_per_edge >= 1);
   const int edges = (spec.hosts + spec.hosts_per_edge - 1) / spec.hosts_per_edge;
 
-  link::LinkConfig access = spec.access_link;
-  link::LinkConfig uplink = spec.uplink;
-  access.batched = uplink.batched = link::batch_delivery_enabled(spec.batched_links);
-
   TopologyBuilder builder(sim);
   builder.enable_static_routes();
   const link::SwitchConfig sw_cfg = fabric_switch_config(spec.hosts);
@@ -357,12 +345,12 @@ std::unique_ptr<Fabric> build_campus_tree(sim::Simulation& sim,
   int host_index = 0;
   for (int e = 0; e < edges; ++e) {
     const int edge = builder.add_switch("edge" + std::to_string(e), sw_cfg);
-    builder.connect_switches(edge, core, uplink);
+    builder.connect_switches(edge, core, spec.uplink);
     for (int i = 0; i < spec.hosts_per_edge && host_index < spec.hosts; ++i) {
       const NicSpec nic =
           spec.nic_for ? spec.nic_for(host_index) : spec.default_nic;
       builder.add_host(fleet_host_spec(spec.name_prefix, host_index, nic), edge,
-                       access);
+                       spec.access_link);
       ++host_index;
     }
   }

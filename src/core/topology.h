@@ -169,10 +169,6 @@ class TopologyBuilder {
   // Declares a trunk between two switches.
   void connect_switches(int a, int b, const link::LinkConfig& link_config);
 
-  // Shared-directory address resolution (default) vs. the legacy full-mesh
-  // per-host ARP installation the 4-host preset uses.
-  void set_shared_arp(bool shared) { shared_arp_ = shared; }
-
   // Preload pinned FIB routes for every host into every switch at build()
   // (required for fabrics with redundant paths; they must also disable
   // learning/flooding via their SwitchConfig). Routes spread equal-cost
@@ -189,7 +185,6 @@ class TopologyBuilder {
 
   std::unique_ptr<Fabric> fabric_;
   std::vector<Trunk> trunks_;
-  bool shared_arp_ = true;
   bool static_routes_ = false;
   bool built_ = false;
 };
@@ -207,15 +202,15 @@ struct LeafSpineSpec {
   int spines = 2;
   // Access links model the testbed's deep-buffered 100 Mbps edge; trunks are
   // 1 Gbps with proportionally deeper queues.
-  link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500),
-                               768 * 1024, true};
-  link::LinkConfig trunk_link{1e9, sim::Duration::microseconds(1),
-                              4 * 768 * 1024, true};
+  link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500), 768 * 1024};
+  link::LinkConfig trunk_link{1e9, sim::Duration::microseconds(1), 4 * 768 * 1024};
   // Per-host NIC profile applied to every host (benches override per index
   // via `nic_for`, e.g. plain NICs for designated attackers).
   NicSpec default_nic;
   std::function<NicSpec(int host_index)> nic_for;  // optional override
-  // Batched link delivery by default (BARB_LINK_BATCH overrides).
+  // There is one link-delivery engine: true is accepted, and
+  // build_leaf_spine throws std::invalid_argument for false. The field stays
+  // only until the repository benchmark (perfbench/) stops setting it.
   bool batched_links = true;
   std::string name_prefix = "h";
 };
@@ -226,13 +221,10 @@ std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
 struct CampusTreeSpec {
   int hosts = 64;
   int hosts_per_edge = 16;  // fanout of each edge switch
-  link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500),
-                               768 * 1024, true};
-  link::LinkConfig uplink{1e9, sim::Duration::microseconds(1),
-                          4 * 768 * 1024, true};
+  link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500), 768 * 1024};
+  link::LinkConfig uplink{1e9, sim::Duration::microseconds(1), 4 * 768 * 1024};
   NicSpec default_nic;
   std::function<NicSpec(int host_index)> nic_for;
-  bool batched_links = true;
   std::string name_prefix = "h";
 };
 

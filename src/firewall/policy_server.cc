@@ -147,9 +147,24 @@ void PolicyServer::register_metrics(telemetry::MetricRegistry& registry,
   });
 }
 
-void PolicyServer::create_vpg(std::uint32_t vpg_id,
+bool PolicyServer::create_vpg(std::uint32_t vpg_id,
                               std::span<const net::Ipv4Address> members) {
-  std::vector<std::uint8_t> master(32);
+  constexpr std::size_t kMasterKeyBytes = 32;
+  // Every member must fit before the key is drawn, so a refused group
+  // leaves the simulation's RNG stream as an accepted one would find it.
+  for (const auto& agent : members) {
+    auto it = policies_.find(agent);
+    PolicyEntry next = it != policies_.end() ? it->second : PolicyEntry{};
+    std::erase_if(next.keys, [vpg_id](const VpgKeyEntry& k) { return k.vpg_id == vpg_id; });
+    next.keys.push_back(VpgKeyEntry{vpg_id, std::vector<std::uint8_t>(kMasterKeyBytes)});
+    if (policy_body_size(next.version + 1, next.text ? *next.text : std::string_view(),
+                         next.keys) > kMaxPolicyBodyBytes) {
+      BARB_WARN("policy server: VPG %u key for %s exceeds %zu bytes, refused for all %zu members",
+                vpg_id, agent.to_string().c_str(), kMaxPolicyBodyBytes, members.size());
+      return false;
+    }
+  }
+  std::vector<std::uint8_t> master(kMasterKeyBytes);
   for (auto& byte : master) {
     byte = static_cast<std::uint8_t>(host_.simulation().rng().next_u64());
   }
@@ -161,6 +176,7 @@ void PolicyServer::create_vpg(std::uint32_t vpg_id,
     ++entry.version;
     push_policy(agent);
   }
+  return true;
 }
 
 void PolicyServer::command_restart(net::Ipv4Address agent) {

@@ -76,11 +76,13 @@ class PolicyServer {
   // same group master key (the rule itself must be part of each host's
   // policy text) and gets a re-push. The key is generated from the
   // simulation RNG. Groups may have any number of members — VPGs are
-  // groups, not just pairs (Markham et al.).
-  void create_vpg(std::uint32_t vpg_id, std::span<const net::Ipv4Address> members);
-  void create_vpg(std::uint32_t vpg_id, net::Ipv4Address a, net::Ipv4Address b) {
+  // groups, not just pairs (Markham et al.). Returns false, and changes
+  // nothing (no version, no RNG draw), when the key line would push any
+  // member's body past kMaxPolicyBodyBytes.
+  bool create_vpg(std::uint32_t vpg_id, std::span<const net::Ipv4Address> members);
+  bool create_vpg(std::uint32_t vpg_id, net::Ipv4Address a, net::Ipv4Address b) {
     const net::Ipv4Address pair[] = {a, b};
-    create_vpg(vpg_id, pair);
+    return create_vpg(vpg_id, pair);
   }
 
   // Commands the agent to restart its firewall card.

@@ -5,15 +5,16 @@
 
 namespace barb::link {
 
-void FaultInjector::on_wire_transit(LinkPort& port, net::Packet pkt,
-                                    sim::Duration base_delay) {
+FaultInjector::WireFate FaultInjector::on_admit(net::Packet& pkt) {
   ++stats_.frames;
+  WireFate fate;
 
   // Loss decisions first: a lost frame consumes no further draws, keeping
   // the stream cheap under heavy loss. i.i.d. loss, then the burst chain.
   if (profile_.loss > 0 && rng_.bernoulli(profile_.loss)) {
     ++stats_.lost_random;
-    return;
+    fate.lost = true;
+    return fate;
   }
   if (profile_.ge_p_good_to_bad > 0 || profile_.ge_p_bad_to_good > 0 ||
       profile_.ge_loss_good > 0 || profile_.ge_loss_bad > 0) {
@@ -25,7 +26,8 @@ void FaultInjector::on_wire_transit(LinkPort& port, net::Packet pkt,
     const double p = ge_bad_ ? profile_.ge_loss_bad : profile_.ge_loss_good;
     if (p > 0 && rng_.bernoulli(p)) {
       ++stats_.lost_burst;
-      return;
+      fate.lost = true;
+      return fate;
     }
   }
 
@@ -40,28 +42,25 @@ void FaultInjector::on_wire_transit(LinkPort& port, net::Packet pkt,
     pkt = net::Packet{std::move(bytes), pkt.created, pkt.id};
   }
 
-  sim::Duration delay = base_delay;
   if (profile_.jitter_max > sim::Duration()) {
     const auto extra = sim::Duration::nanoseconds(static_cast<std::int64_t>(
         rng_.uniform_real() * static_cast<double>(profile_.jitter_max.ns())));
     if (extra > sim::Duration()) ++stats_.jittered;
-    delay += extra;
+    fate.extra_delay += extra;
   }
   if (profile_.reorder > 0 && rng_.bernoulli(profile_.reorder)) {
     const int window = profile_.reorder_window < 1 ? 1 : profile_.reorder_window;
-    delay += profile_.reorder_hold *
-             static_cast<std::int64_t>(1 + rng_.uniform(
-                 static_cast<std::uint64_t>(window)));
+    fate.extra_delay +=
+        profile_.reorder_hold *
+        static_cast<std::int64_t>(1 + rng_.uniform(static_cast<std::uint64_t>(window)));
     ++stats_.reordered;
   }
 
   if (profile_.duplication > 0 && rng_.bernoulli(profile_.duplication)) {
-    // The copy trails the original by one wire occupancy, like a frame
-    // transmitted twice back to back. Copying a Packet is a refcount bump.
     ++stats_.duplicated;
-    port.schedule_delivery(pkt, delay + port.frame_time(pkt.size()));
+    fate.duplicate = true;
   }
-  port.schedule_delivery(std::move(pkt), delay);
+  return fate;
 }
 
 void FaultInjector::register_metrics(telemetry::MetricRegistry& registry,

@@ -1,7 +1,7 @@
 // Deterministic link fault injection.
 //
 // A FaultInjector sits on the transmit side of one LinkPort and perturbs the
-// wire transit of every frame that port serializes: i.i.d. loss, burst loss
+// wire transit of every frame that port admits: i.i.d. loss, burst loss
 // via a 2-state Gilbert–Elliott chain, bit corruption, duplication, latency
 // jitter, and reordering (a chosen frame is held back so later frames
 // overtake it). The injector draws from its OWN sim::Random stream, seeded
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "link/link.h"
 #include "net/packet.h"
 #include "sim/random.h"
 #include "sim/time.h"
@@ -84,10 +83,19 @@ class FaultInjector {
   const FaultInjectorStats& stats() const { return stats_; }
   bool in_burst_state() const { return ge_bad_; }
 
-  // Called by LinkPort for every frame leaving the serializer; `base_delay`
-  // is serialization + propagation. Decides the frame's fate and schedules
-  // zero, one, or two deliveries on the port's peer.
-  void on_wire_transit(LinkPort& port, net::Packet pkt, sim::Duration base_delay);
+  // A frame's fate on the wire.
+  struct WireFate {
+    bool lost = false;
+    // Jitter plus reorder hold, added to the fault-free arrival.
+    sim::Duration extra_delay;
+    // A copy arrives one frame-time after the original.
+    bool duplicate = false;
+  };
+
+  // Called by LinkPort for every frame it admits to its TX queue, in
+  // admission (= serialization) order. Decides the frame's fate and may
+  // corrupt `pkt` in place.
+  WireFate on_admit(net::Packet& pkt);
 
   // Registers "fault.*" counters under the given label set (conventionally
   // the owning port's "link=<name>,side=<side>" labels).

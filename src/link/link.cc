@@ -1,6 +1,6 @@
 #include "link/link.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <utility>
 
 #include "link/fault_injector.h"
@@ -9,12 +9,6 @@
 
 namespace barb::link {
 
-bool batch_delivery_enabled(bool default_batched) {
-  const char* env = std::getenv("BARB_LINK_BATCH");
-  if (env == nullptr || *env == '\0') return default_batched;
-  return env[0] != '0';
-}
-
 Link::Link(sim::Simulation& sim, LinkConfig config) : sim_(sim), config_(config) {
   a_.link_ = this;
   a_.peer_ = &b_;
@@ -22,18 +16,7 @@ Link::Link(sim::Simulation& sim, LinkConfig config) : sim_(sim), config_(config)
   b_.peer_ = &a_;
 }
 
-LinkPort::~LinkPort() { batch_timer_.cancel(); }
-
-void LinkPort::set_fault_injector(FaultInjector* injector) {
-  // A port runs one delivery engine for its lifetime; installing an injector
-  // after batched traffic has queued frames would mix the two.
-  BARB_ASSERT_MSG(pending_.empty(), "install fault injectors before traffic");
-  fault_ = injector;
-}
-
-bool LinkPort::use_batched() const {
-  return link_ != nullptr && link_->config().batched && fault_ == nullptr;
-}
+LinkPort::~LinkPort() { timer_.cancel(); }
 
 sim::Duration LinkPort::frame_time(std::size_t frame_bytes) const {
   BARB_ASSERT(link_ != nullptr);
@@ -46,46 +29,46 @@ sim::Duration LinkPort::frame_time(std::size_t frame_bytes) const {
 
 void LinkPort::send(net::Packet pkt) {
   BARB_ASSERT_MSG(link_ != nullptr, "port not attached to a link");
-  if (use_batched()) {
-    const sim::TimePoint now = link_->sim_.now();
-    advance_accounting(now);
-    const bool busy = tx_free_at_ > now;
-    if (busy) {
-      if (queued_bytes_ + pkt.size() > link_->config().queue_bytes) {
-        ++stats_.dropped_frames;
-        return;
-      }
-      queued_bytes_ += pkt.size();
-    }
-    const sim::TimePoint ser_start = busy ? tx_free_at_ : now;
-    const sim::Duration tx_time = frame_time(pkt.size());
-    const sim::TimePoint ser_end = ser_start + tx_time;
-    const sim::TimePoint deliver_at = ser_end + link_->config().propagation;
-    tx_free_at_ = ser_end;
-    const std::size_t bytes = pkt.size();
-    pending_.push_back(
-        PendingFrame{ser_start, deliver_at, tx_time, bytes, std::move(pkt)});
-    if (!busy) {
-      // Serialization starts now: account it immediately, exactly where the
-      // per-frame engine does.
-      stats_.tx_frames++;
-      stats_.tx_bytes += bytes;
-      stats_.busy_time += tx_time;
-      ++acct_idx_;
-    }
-    if (!batch_timer_.pending()) arm_batch_timer(pending_.front().deliver_at);
+  const sim::TimePoint now = link_->sim_.now();
+  advance_accounting(now);
+  const std::size_t bytes = pkt.size();
+  const bool busy = tx_free_at_ > now;
+  if (busy && queued_bytes_ + bytes > link_->config().queue_bytes) {
+    ++stats_.dropped_frames;
     return;
   }
-  if (transmitting_) {
-    if (queued_bytes_ + pkt.size() > link_->config().queue_bytes) {
-      ++stats_.dropped_frames;
-      return;
-    }
-    queued_bytes_ += pkt.size();
-    queue_.push_back(std::move(pkt));
+  queued_bytes_ += bytes;
+  const sim::TimePoint ser_start = busy ? tx_free_at_ : now;
+  const sim::Duration tx_time = frame_time(bytes);
+  tx_free_at_ = ser_start + tx_time;
+  PendingFrame& frame = pending_.emplace_back(
+      PendingFrame{ser_start, tx_free_at_ + link_->config().propagation, tx_time,
+                   static_cast<std::uint32_t>(bytes), true, std::move(pkt)});
+  const std::uint64_t index = admitted_++;
+  advance_accounting(now);  // accounts the frame at once if it starts now
+  if (fault_ != nullptr) apply_fault(frame, index);
+  // A pending timer moves earlier only if the FIFO had emptied behind a held
+  // side-queue frame; on a fault-free port the FIFO head never precedes it.
+  if (timer_.pending() && timer_at_ <= pending_.front().deliver_at) return;
+  timer_.cancel();
+  arm_timer();
+}
+
+void LinkPort::apply_fault(PendingFrame& frame, std::uint64_t index) {
+  const FaultInjector::WireFate fate = fault_->on_admit(frame.pkt);
+  if (fate.lost) {
+    frame.deliver = false;
+    frame.pkt = net::Packet{};
     return;
   }
-  start_transmission(std::move(pkt));
+  const sim::TimePoint at = frame.deliver_at + fate.extra_delay;
+  // The copy trails the original by one wire occupancy, like a frame
+  // transmitted twice back to back. Copying a Packet is a refcount bump.
+  if (fate.duplicate) side_.push(SideDelivery{at + frame.tx_time, index, frame.pkt});
+  if (fate.extra_delay > sim::Duration()) {
+    frame.deliver = false;
+    side_.push(SideDelivery{at, index, std::move(frame.pkt)});
+  }
 }
 
 void LinkPort::advance_accounting(sim::TimePoint now) const {
@@ -100,75 +83,62 @@ void LinkPort::advance_accounting(sim::TimePoint now) const {
   }
 }
 
-void LinkPort::arm_batch_timer(sim::TimePoint at) {
-  batch_timer_ = link_->sim_.schedule_at(at, [this] { deliver_batch(); });
+void LinkPort::arm_timer() {
+  if (pending_.empty() && side_.empty()) return;
+  timer_at_ = pending_.empty() ? side_.top().deliver_at : pending_.front().deliver_at;
+  if (!side_.empty()) timer_at_ = std::min(timer_at_, side_.top().deliver_at);
+  timer_ = link_->sim_.schedule_at(timer_at_, [this] { deliver_due(); });
 }
 
-void LinkPort::deliver_batch() {
+void LinkPort::deliver(net::Packet pkt) {
+  peer_->stats_.rx_frames++;
+  peer_->stats_.rx_bytes += pkt.size();
+  if (peer_->sink_ != nullptr) peer_->sink_->deliver(std::move(pkt));
+}
+
+void LinkPort::deliver_due() {
   const sim::TimePoint now = link_->sim_.now();
   advance_accounting(now);
-  while (!pending_.empty() && pending_.front().deliver_at <= now) {
-    // Delivery follows serialization end, so the head frame's TX accounting
-    // has always been applied by the advance above.
-    BARB_ASSERT(acct_idx_ > 0);
-    PendingFrame f = std::move(pending_.front());
-    pending_.pop_front();
-    --acct_idx_;
-    peer_->stats_.rx_frames++;
-    peer_->stats_.rx_bytes += f.bytes;
-    if (peer_->sink_ != nullptr) peer_->sink_->deliver(std::move(f.pkt));
+  for (;;) {
+    const bool fifo_due = !pending_.empty() && pending_.front().deliver_at <= now;
+    const bool side_due = !side_.empty() && side_.top().deliver_at <= now;
+    if (!fifo_due && !side_due) break;
+    // Merge the two queues in (deliver_at, admission index) order.
+    const std::uint64_t head_index = admitted_ - pending_.size();
+    if (!side_due ||
+        (fifo_due && std::tie(pending_.front().deliver_at, head_index) <
+                         std::tie(side_.top().deliver_at, side_.top().index))) {
+      // Delivery follows serialization end, so the head frame's TX
+      // accounting has always been applied by the advance above.
+      BARB_ASSERT(acct_idx_ > 0);
+      PendingFrame f = std::move(pending_.front());
+      pending_.pop_front();
+      --acct_idx_;
+      if (f.deliver) deliver(std::move(f.pkt));
+    } else {
+      net::Packet pkt = side_.top().pkt;  // a refcount bump
+      side_.pop();
+      deliver(std::move(pkt));
+    }
   }
-  if (!pending_.empty()) arm_batch_timer(pending_.front().deliver_at);
+  arm_timer();
 }
 
 const LinkPortStats& LinkPort::stats() const {
-  if (use_batched() && !pending_.empty()) advance_accounting(link_->sim_.now());
+  if (!pending_.empty()) advance_accounting(link_->sim_.now());
   return stats_;
 }
 
 std::size_t LinkPort::queue_depth() const {
-  if (use_batched()) {
-    if (link_ == nullptr) return 0;
-    const sim::TimePoint now = link_->sim_.now();
-    advance_accounting(now);
-    const std::size_t waiting = pending_.size() - acct_idx_;
-    return waiting + (tx_free_at_ > now ? 1 : 0);
-  }
-  return queue_.size() + (transmitting_ ? 1 : 0);
+  if (link_ == nullptr) return 0;
+  const sim::TimePoint now = link_->sim_.now();
+  advance_accounting(now);
+  return pending_.size() - acct_idx_ + (tx_free_at_ > now ? 1 : 0);
 }
 
 std::size_t LinkPort::queued_bytes() const {
-  if (use_batched() && !pending_.empty()) advance_accounting(link_->sim_.now());
+  if (!pending_.empty()) advance_accounting(link_->sim_.now());
   return queued_bytes_;
-}
-
-void LinkPort::start_transmission(net::Packet pkt) {
-  transmitting_ = true;
-  const auto tx_time = frame_time(pkt.size());
-  stats_.tx_frames++;
-  stats_.tx_bytes += pkt.size();
-  stats_.busy_time += tx_time;
-
-  auto& sim = link_->simulation();
-  const auto arrival = tx_time + link_->config().propagation;
-  // Delivery to the peer after serialization + propagation — perturbed by
-  // the fault injector when one is installed on this direction.
-  if (fault_ != nullptr) {
-    fault_->on_wire_transit(*this, std::move(pkt), arrival);
-  } else {
-    schedule_delivery(std::move(pkt), arrival);
-  }
-  // The transmitter frees after serialization (IFG already accounted in
-  // frame_time), independent of propagation.
-  sim.schedule(tx_time, [this] { on_transmit_complete(); });
-}
-
-void LinkPort::schedule_delivery(net::Packet pkt, sim::Duration delay) {
-  link_->simulation().schedule(delay, [peer = peer_, p = std::move(pkt)]() mutable {
-    peer->stats_.rx_frames++;
-    peer->stats_.rx_bytes += p.size();
-    if (peer->sink_ != nullptr) peer->sink_->deliver(std::move(p));
-  });
 }
 
 void LinkPort::register_metrics(telemetry::MetricRegistry& registry,
@@ -189,16 +159,6 @@ void LinkPort::register_metrics(telemetry::MetricRegistry& registry,
                  [this] { return static_cast<double>(queue_depth()); });
   registry.gauge("link.queued_bytes", labels,
                  [this] { return static_cast<double>(queued_bytes()); });
-}
-
-void LinkPort::on_transmit_complete() {
-  transmitting_ = false;
-  if (!queue_.empty()) {
-    net::Packet next = std::move(queue_.front());
-    queue_.pop_front();
-    queued_bytes_ -= next.size();
-    start_transmission(std::move(next));
-  }
 }
 
 }  // namespace barb::link

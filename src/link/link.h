@@ -7,24 +7,28 @@
 // the switch side of a link is exactly the switch egress queue, which is what
 // couples a flood to legitimate traffic in the paper's no-firewall baseline.
 //
-// Delivery engines. The classic per-frame engine costs two scheduler events
-// per frame (delivery + transmitter-free), and every queued frame holds a
-// pending event — at fleet scale that is the dominant scheduler load. The
-// batched engine replays the identical timeline from a virtual serialization
-// clock: send() computes each frame's serialization window and delivery time
-// arithmetically, frames wait in a per-port delivery queue, and ONE armed
-// timer per port direction delivers the head and re-arms for the next. TX
-// accounting is applied lazily (advance-on-read) so sampled metrics see the
-// same values at the same instants; the pending-event population drops from
-// O(frames in flight) to O(port directions) and the transmitter-free events
-// vanish. Ports with a fault injector always take the per-frame path: the
-// injector draws RNG at serialization start, and only the per-frame engine
-// executes an event there.
+// Delivery runs from a virtual serialization clock, not per-frame events:
+// send() admits a frame (or tail-drops it), computes its serialization
+// window and delivery instant, and appends it to a per-port FIFO; ONE armed
+// timer per port direction delivers every due frame and re-arms. TX
+// accounting advances lazily on read, so sampled stats and queue gauges
+// match a frame-by-frame serializer at every instant.
+//
+// A fault injector decides each frame's fate at admission, which is
+// serialization order, so its draws are those of an injector consulted at
+// serialization start. Lost, delayed and reordered frames keep their FIFO
+// slot for TX accounting; delayed and reordered frames and duplicate copies
+// are delivered from a side queue ordered by (delivery instant, admission
+// index), and the timer is armed at the earlier of the two queue heads.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "link/frame_sink.h"
 #include "net/ethernet.h"
@@ -41,16 +45,7 @@ struct LinkConfig {
   // byte accounting matters under flood: minimum-size attack frames are ~25x
   // cheaper to queue than full-size data frames).
   std::size_t queue_bytes = 150 * 1024;
-  // Selects the batched delivery engine for both ports of this link. The
-  // timeline is identical either way (gated byte-identical on the paper
-  // figures); batched is the default for fleet fabrics, per-frame for the
-  // 4-host testbed preset.
-  bool batched = false;
 };
-
-// Effective delivery mode for newly built links: the BARB_LINK_BATCH
-// environment variable ("1"/"0") overrides the builder's default.
-bool batch_delivery_enabled(bool default_batched);
 
 struct LinkPortStats {
   std::uint64_t tx_frames = 0;
@@ -79,12 +74,11 @@ class LinkPort {
   LinkPort* peer() const { return peer_; }
 
   // Installs a fault injector on this port's TRANSMIT direction (nullptr
-  // removes it; not owned). Every frame this port serializes is routed
-  // through the injector, which may drop, corrupt, duplicate, delay, or
-  // reorder its delivery to the peer. Without an injector the port takes
-  // the exact fault-free path and performs no RNG draws. Install before any
-  // traffic: a port must run one delivery engine for its whole lifetime.
-  void set_fault_injector(FaultInjector* injector);
+  // removes it; not owned). Every frame this port admits afterwards is
+  // routed through the injector, which may drop, corrupt, duplicate, delay,
+  // or reorder its delivery to the peer. Without an injector the port
+  // performs no RNG draws.
+  void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
   FaultInjector* fault_injector() const { return fault_; }
 
   // Enqueues a frame for transmission; drops it if the TX queue is full.
@@ -93,7 +87,6 @@ class LinkPort {
   const LinkPortStats& stats() const;
   std::size_t queue_depth() const;
   std::size_t queued_bytes() const;
-  bool connected() const { return link_ != nullptr; }
 
   // Registers this port's stats (frames/bytes/drops/busy time, queue depth)
   // under "link.*" with the given label set. The registry must not be
@@ -106,50 +99,56 @@ class LinkPort {
 
  private:
   friend class Link;
-  friend class FaultInjector;
 
-  // --- per-frame engine ---
-  void start_transmission(net::Packet pkt);
-  void on_transmit_complete();
-  // Schedules delivery of `pkt` to the peer after `delay`; rx accounting
-  // happens at delivery time. The fault injector calls this zero, one, or
-  // two times per transmitted frame.
-  void schedule_delivery(net::Packet pkt, sim::Duration delay);
-
-  // --- batched engine ---
+  // A frame admitted to the TX queue, FIFO in serialization order.
   struct PendingFrame {
     sim::TimePoint ser_start;   // transmitter picks the frame up
     sim::TimePoint deliver_at;  // serialization end + propagation
     sim::Duration tx_time;      // serialization time (busy_time contribution)
-    std::size_t bytes = 0;
+    std::uint32_t bytes = 0;
+    // False when the fault injector lost the frame or moved its delivery to
+    // the side queue; the entry then only carries TX accounting.
+    bool deliver = true;
     net::Packet pkt;
   };
+  // A delivery off the FIFO's schedule: a delayed or reordered frame, or a
+  // duplicate copy. `index` is the frame's admission index (ties at one
+  // instant deliver in admission order, as FIFO frames do).
+  struct SideDelivery {
+    sim::TimePoint deliver_at;
+    std::uint64_t index = 0;
+    net::Packet pkt;
+    bool operator>(const SideDelivery& o) const {
+      return std::tie(deliver_at, index) > std::tie(o.deliver_at, o.index);
+    }
+  };
 
-  bool use_batched() const;
   // Applies TX-side accounting (tx_frames/tx_bytes/busy_time, queue drain)
   // for every pending frame whose serialization has started by `now`.
-  // Observers (stats(), queue gauges) advance to the current instant before
-  // reading, so sampled values match the per-frame engine's exactly.
   void advance_accounting(sim::TimePoint now) const;
-  void deliver_batch();
-  void arm_batch_timer(sim::TimePoint at);
+  // Routes a just-admitted frame through the fault injector.
+  void apply_fault(PendingFrame& frame, std::uint64_t index);
+  void deliver(net::Packet pkt);
+  void deliver_due();
+  void arm_timer();
 
   Link* link_ = nullptr;
   LinkPort* peer_ = nullptr;
   FrameSink* sink_ = nullptr;
   FaultInjector* fault_ = nullptr;
 
-  // Per-frame engine state.
-  std::deque<net::Packet> queue_;
-  bool transmitting_ = false;
-
-  // Batched engine state: frames sent but not yet delivered, FIFO in
-  // serialization (= delivery) order. Entries below acct_idx_ have had their
-  // TX accounting applied; queued_bytes_ sums the entries above it.
+  // Frames admitted but not yet delivered. Entries below acct_idx_ have had
+  // their TX accounting applied; queued_bytes_ sums the entries above it.
+  // admitted_ counts every admission, so the head's admission index is
+  // admitted_ - pending_.size().
   std::deque<PendingFrame> pending_;
   mutable std::size_t acct_idx_ = 0;
+  std::uint64_t admitted_ = 0;
   sim::TimePoint tx_free_at_;
-  sim::EventHandle batch_timer_;
+  // Empty unless a fault injector is set.
+  std::priority_queue<SideDelivery, std::vector<SideDelivery>, std::greater<>> side_;
+  sim::EventHandle timer_;
+  sim::TimePoint timer_at_;
 
   mutable std::size_t queued_bytes_ = 0;
   mutable LinkPortStats stats_;
@@ -165,7 +164,6 @@ class Link {
   LinkPort& a() { return a_; }
   LinkPort& b() { return b_; }
   const LinkConfig& config() const { return config_; }
-  sim::Simulation& simulation() { return sim_; }
 
  private:
   friend class LinkPort;

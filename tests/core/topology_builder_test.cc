@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -215,11 +216,26 @@ TEST(TopologyBuilder, TestbedPresetKeepsLegacyWiring) {
   EXPECT_EQ(&testbed.policy_host(), &fabric.host(0));
   EXPECT_EQ(&testbed.target(), &fabric.host(3));
   EXPECT_EQ(testbed.target_firewall(), fabric.firewall(3));
-  // The preset keeps the legacy full-mesh ARP: no shared directory.
-  EXPECT_EQ(fabric.directory(), nullptr);
+  // Address resolution goes through the shared directory, as on fleets:
+  // each host privately holds only its own binding.
+  ASSERT_NE(fabric.directory(), nullptr);
+  for (int i = 0; i < fabric.num_hosts(); ++i) EXPECT_EQ(fabric.host(i).arp().size(), 1u);
+  EXPECT_EQ(testbed.target().arp().lookup(testbed.addresses().client),
+            testbed.client().mac());
   // The testbed switch keeps the classic learning/flooding behaviour.
   EXPECT_TRUE(testbed.ethernet_switch().config().learning);
   EXPECT_TRUE(testbed.ethernet_switch().config().flood_unknown);
+}
+
+// There is one link-delivery engine: the leaf-spine preset accepts
+// batched_links = true (the default) and refuses false.
+TEST(TopologyBuilder, LeafSpineRejectsPerFrameLinks) {
+  sim::Simulation sim(1);
+  LeafSpineSpec spec;
+  spec.hosts = 4;
+  EXPECT_EQ(build_leaf_spine(sim, spec)->num_hosts(), 4);
+  spec.batched_links = false;
+  EXPECT_THROW(build_leaf_spine(sim, spec), std::invalid_argument);
 }
 
 }  // namespace

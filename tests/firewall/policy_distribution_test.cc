@@ -288,6 +288,35 @@ TEST(PolicyDistribution, OversizedPolicyIsRefusedNotLooped) {
   EXPECT_EQ(server.agents().at(target).acked_version, 1u);
 }
 
+// create_vpg honours the same bound: a key line that would push a member's
+// body past it refuses the whole group up front (no version bump, no key
+// drawn) instead of looping through push, abort and reconnect.
+TEST(PolicyDistribution, OversizedVpgKeyIsRefusedNotLooped) {
+  sim::Simulation sim(1);
+  Testbed tb(sim, managed_config(FirewallKind::kEfw));
+  tb.settle();
+  PolicyServer& server = *tb.policy_server();
+  const net::Ipv4Address target = tb.addresses().target;
+  const net::Ipv4Address client = tb.addresses().client;
+  ASSERT_TRUE(server.set_policy(target, policy_with_body_size(kMaxPolicyBodyBytes, 2)));
+  sim.run_for(sim::Duration::seconds(3));
+  ASSERT_EQ(server.agents().at(target).acked_version, 2u);
+  const std::uint64_t pushes = server.stats().pushes;
+
+  sim::Random rng_before = sim.rng();
+  EXPECT_FALSE(server.create_vpg(9, client, target));
+  EXPECT_EQ(sim.rng().next_u64(), rng_before.next_u64());
+  EXPECT_EQ(server.policy_version(target), 2u);
+  EXPECT_EQ(server.policy_version(client), 0u);
+
+  sim.run_for(sim::Duration::seconds(30));
+  EXPECT_EQ(server.stats().pushes, pushes);
+  EXPECT_EQ(server.stats().corrupted_streams, 0u);
+  EXPECT_EQ(tb.target_agent()->stats().last_version, 2u);
+  EXPECT_EQ(tb.target_agent()->stats().reconnects, 0u);
+  EXPECT_EQ(server.agents().at(target).acked_version, 2u);
+}
+
 TEST(PolicyDistribution, PolicyAtTheBodyBoundIsDelivered) {
   sim::Simulation sim(1);
   Testbed tb(sim, managed_config(FirewallKind::kEfw));

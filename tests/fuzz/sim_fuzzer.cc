@@ -1060,9 +1060,8 @@ void run_star_scenario(const Scenario& s, std::vector<std::string>* failures,
 // A randomized leaf-spine or campus-tree fabric, 2..64 hosts, with TCP
 // transfers between random host pairs. Runs under the same conservation /
 // NIC-accounting / TCP-safety / monotonicity oracles as the legacy families,
-// plus two fabric-specific ones: every switch must hold a route to every
-// host (all_hosts_routed), and the batched link engine must reproduce the
-// per-frame engine's transfer outcomes exactly.
+// plus a fabric-specific one: every switch must hold a route to every host
+// (all_hosts_routed).
 //
 // Drawn from its own salted stream (kFabricSalt): the legacy testbed/star
 // generators see zero new draws, so their scenarios stay stable per seed.
@@ -1106,8 +1105,7 @@ FabricScenario generate_fabric_scenario(std::uint64_t seed) {
 }
 
 std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
-                                           const FabricScenario& s,
-                                           bool batched) {
+                                           const FabricScenario& s) {
   auto nic_for = [&s](int index) {
     core::NicSpec nic;
     nic.kind = s.nic_kinds[static_cast<std::size_t>(index)];
@@ -1119,7 +1117,6 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
     spec.hosts = s.hosts;
     spec.hosts_per_edge = s.group;
     spec.nic_for = nic_for;
-    spec.batched_links = batched;
     fabric = core::build_campus_tree(sim, spec);
   } else {
     core::LeafSpineSpec spec;
@@ -1127,7 +1124,6 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
     spec.hosts_per_leaf = s.group;
     spec.spines = s.spines;
     spec.nic_for = nic_for;
-    spec.batched_links = batched;
     fabric = core::build_leaf_spine(sim, spec);
   }
   // Firewalled hosts get a permissive policy with inert padding ahead of the
@@ -1149,23 +1145,12 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
   return fabric;
 }
 
-// One link engine's observable outcome, for the batched-vs-per-frame
-// comparison.
-struct FabricRun {
-  std::vector<std::size_t> received;  // per transfer
-  std::vector<bool> complete;
-  std::uint64_t access_tx_frames = 0;  // summed over host access links
-  std::uint64_t access_rx_frames = 0;
-  std::uint64_t nic_rx_delivered = 0;  // summed NIC verdicts over all hosts
-  std::uint64_t nic_rx_dropped = 0;
-};
-
-FabricRun run_fabric_once(const FabricScenario& s, std::uint64_t seed,
-                          bool batched, std::vector<std::string>* failures,
-                          std::string* trace_tail, const FuzzOptions& options) {
+void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
+                         std::vector<std::string>* failures,
+                         std::string* trace_tail, const FuzzOptions& options) {
   Failures fail{failures};
   sim::Simulation sim(seed);
-  auto fabric = build_fabric(sim, s, batched);
+  auto fabric = build_fabric(sim, s);
 
   if (!fabric->all_hosts_routed()) {
     fail("fabric: a switch is missing a preloaded route to some host (" +
@@ -1198,18 +1183,11 @@ FabricRun run_fabric_once(const FabricScenario& s, std::uint64_t seed,
 
   run_to_quiescence(sim, fail);
 
-  FabricRun out;
   for (int i = 0; i < fabric->num_hosts(); ++i) {
     if (auto* port = fabric->host(i).nic().port()) {
       check_link(*port, "fabric-h" + std::to_string(i), fail);
     }
     check_nic(fabric->host(i), "fabric-h" + std::to_string(i), fail);
-    const auto& nic = fabric->host(i).nic().stats();
-    out.nic_rx_delivered += nic.rx_delivered;
-    out.nic_rx_dropped += nic.rx_dropped;
-    auto& access = fabric->host_link(i);
-    out.access_tx_frames += access.a().stats().tx_frames;
-    out.access_rx_frames += access.a().stats().rx_frames;
   }
   for (const auto& tap : taps) {
     if (tap->monotonic_violation()) {
@@ -1220,65 +1198,11 @@ FabricRun run_fabric_once(const FabricScenario& s, std::uint64_t seed,
   const bool contention = s.transfers.size() > 1;
   for (const auto& probe : probes) {
     check_transfer(*probe, /*faults=*/false, contention, fail);
-    out.received.push_back(probe->receiver.received());
-    out.complete.push_back(probe->receiver.received() == probe->plan.bytes &&
-                           probe->receiver.eof());
   }
 
   if (!failures->empty() && trace_tail->empty()) {
     for (const auto& tap : taps) *trace_tail += tap->tail_text();
   }
-  return out;
-}
-
-// Compares two link engines' observable outcomes field by field: same
-// transfer byte counts and completions (content is covered by the receiver's
-// per-byte mismatch oracle inside each run), same access-link frame counts,
-// same summed NIC verdicts.
-void check_run_identity(const FabricRun& a, const FabricRun& b,
-                        const char* oracle, const char* a_name,
-                        const char* b_name, Failures fail) {
-  if (a.received != b.received || a.complete != b.complete) {
-    std::string detail;
-    for (std::size_t i = 0; i < a.received.size(); ++i) {
-      detail += " transfer" + std::to_string(i) + "=" +
-                std::to_string(a.received[i]) + "/" +
-                std::to_string(b.received[i]);
-    }
-    fail(std::string(oracle) + ": " + a_name + " vs " + b_name +
-         " transfer outcomes diverged (" + a_name + "/" + b_name + "):" + detail);
-  }
-  if (a.access_tx_frames != b.access_tx_frames ||
-      a.access_rx_frames != b.access_rx_frames) {
-    fail(std::string(oracle) + ": access-link frame counts diverged (tx " +
-         std::to_string(a.access_tx_frames) + " vs " +
-         std::to_string(b.access_tx_frames) + ", rx " +
-         std::to_string(a.access_rx_frames) + " vs " +
-         std::to_string(b.access_rx_frames) + ")");
-  }
-  if (a.nic_rx_delivered != b.nic_rx_delivered ||
-      a.nic_rx_dropped != b.nic_rx_dropped) {
-    fail(std::string(oracle) + ": NIC verdict counts diverged (delivered " +
-         std::to_string(a.nic_rx_delivered) + " vs " +
-         std::to_string(b.nic_rx_delivered) + ", dropped " +
-         std::to_string(a.nic_rx_dropped) + " vs " +
-         std::to_string(b.nic_rx_dropped) + ")");
-  }
-}
-
-void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
-                         std::vector<std::string>* failures,
-                         std::string* trace_tail, const FuzzOptions& options) {
-  Failures fail{failures};
-  const FabricRun batched = run_fabric_once(s, seed, /*batched=*/true,
-                                            failures, trace_tail, options);
-  const FabricRun per_frame = run_fabric_once(s, seed, /*batched=*/false,
-                                              failures, trace_tail, options);
-
-  // The batched engine is an optimization, not a model change: same frames,
-  // same bytes, same completions.
-  check_run_identity(batched, per_frame, "batched-identity", "batched",
-                     "per-frame", fail);
 }
 
 std::string fabric_summary(const FabricScenario& s) {
